@@ -131,8 +131,6 @@ int write_incident_log(const Parsed& args,
 const char* format_label(ipm::TraceFormat format) {
   switch (format) {
     case ipm::TraceFormat::kTsv: return "tsv";
-    case ipm::TraceFormat::kBinaryV1: return "v1";
-    case ipm::TraceFormat::kBinaryV2: return "v2";
     case ipm::TraceFormat::kBinaryV3: return "v3";
   }
   return "?";

@@ -158,7 +158,7 @@ struct EventFilter {
 // Streaming counterparts: visit a TraceSource instead of materializing.
 
 /// The chunk-index pre-filter a filter implies (op/phase/rank pins
-/// become hints; indexed v2 sources skip chunks that cannot match).
+/// become hints; indexed v3 sources skip chunks that cannot match).
 [[nodiscard]] ipm::ChunkHint hint_for(const EventFilter& filter);
 
 /// Visit every matching event of the source, in stored order.

@@ -1,4 +1,4 @@
-// Chunk-parallel map-reduce over indexed (v2/v3) traces.
+// Chunk-parallel map-reduce over indexed (v3) traces.
 //
 // The paper's premise — ensembles are mergeable statistics, not event
 // sequences — makes trace analysis embarrassingly parallel over
@@ -10,14 +10,12 @@
 // folds each chunk into its own partial, and merges partials on the
 // calling thread in ascending chunk order.
 //
-// Format seam: row-oriented v2 chunks are decoded through per-thread
-// ifstreams with single sized reads; columnar v3 chunks are decoded
-// straight out of one shared read-only mmap of the file (every worker
-// reads the same immutable pages — no locks, no per-thread streams, no
-// staging copies), falling back to per-thread streams when the map is
-// unavailable. Both formats serve both fold shapes: scan() hands the
-// fold row spans, scan_columns() hands it decoded ColumnBatches (v3
-// decodes only the masked columns; v2 shreds its rows).
+// Decode: chunks are decoded straight out of one shared read-only mmap
+// of the file (every worker reads the same immutable pages — no locks,
+// no per-thread streams, no staging copies), falling back to
+// per-thread streams with single sized reads when the map is
+// unavailable. The fold receives decoded ColumnBatches with only the
+// masked columns materialized.
 //
 // Determinism contract: the partial built for chunk c depends only on
 // chunk c (per-chunk reservoir seeds come from the chunk index), and
@@ -25,14 +23,14 @@
 // worker folded what first. A scan is therefore byte-identical for
 // every jobs value, including jobs=1 — "--jobs 1 == serial" holds by
 // construction, not by tolerance. Column order equals event order, so
-// the same holds across scan()/scan_columns() and across v2/v3 copies
-// of the same trace.
+// a fold over the columns performs the same operation sequence as a
+// fold over the rows of the same chunk.
 //
 // Memory contract: workers may run at most merge_window chunks ahead
 // of the merge frontier, so at most O(jobs + merge_window) partials
 // and O(jobs) chunk buffers are live — peak memory stays O(chunk),
-// never O(events). The v3 mmap adds address space, not resident
-// memory; pages are faulted in as decoded and evictable at any time.
+// never O(events). The mmap adds address space, not resident memory;
+// pages are faulted in as decoded and evictable at any time.
 #pragma once
 
 #include <atomic>
@@ -44,7 +42,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -71,33 +68,21 @@ struct ScanOptions {
   std::size_t merge_window = 0;
 };
 
-/// Per-thread chunk decoder behind the v2/v3 seam: a v2 reader owns one
-/// seekable stream plus reusable buffers; a v3 reader borrows a shared
-/// read-only mapping (or falls back to its own stream) plus a column
-/// scratch. Either way a worker's steady state allocates nothing.
+/// Per-thread chunk decoder: borrows a shared read-only mapping (or,
+/// without one, owns a seekable stream plus a raw-bytes buffer) and a
+/// column scratch, so a worker's steady state allocates nothing.
 class ChunkReader {
  public:
-  /// `map` (may be null) must outlive the reader; non-null only for v3.
+  /// `map` (may be null) must outlive the reader. `format` must be
+  /// kBinaryV3, the one indexed format.
   ChunkReader(const std::string& path, TraceFormat format,
               const MappedFile* map = nullptr)
-      : format_(format), map_(map) {
+      : map_(map) {
+    EIO_CHECK(format == TraceFormat::kBinaryV3);
     if (map_ == nullptr) {
       in_.open(path, std::ios::binary);
       EIO_CHECK_MSG(in_.good(), "cannot open for reading: " << path);
     }
-  }
-
-  /// Decode one indexed chunk as a row span; the span aliases this
-  /// reader's buffer and is valid until the next read.
-  [[nodiscard]] std::span<const TraceEvent> read(const TraceIndex& index,
-                                                 std::size_t chunk) {
-    if (format_ == TraceFormat::kBinaryV2) {
-      read_chunk_v2(in_, index.chunks[chunk], chunk_byte_length(index, chunk),
-                    raw_, events_);
-    } else {
-      unshred(read_columns(index, chunk, kColAll), events_);
-    }
-    return std::span<const TraceEvent>(events_);
   }
 
   /// Decode one indexed chunk as a ColumnBatch with only the masked
@@ -106,10 +91,6 @@ class ChunkReader {
                                          std::size_t chunk, ColumnMask mask) {
     const ChunkMeta& meta = index.chunks[chunk];
     std::uint64_t byte_len = chunk_byte_length(index, chunk);
-    if (format_ == TraceFormat::kBinaryV2) {
-      read_chunk_v2(in_, meta, byte_len, raw_, events_);
-      return shred(events_, scratch_, mask);
-    }
     if (map_ != nullptr) {
       // Zero-copy: the index validated offsets against the footer, and
       // the footer against the file size, so this sub-span is in-bounds.
@@ -121,59 +102,49 @@ class ChunkReader {
   }
 
  private:
-  TraceFormat format_;
   const MappedFile* map_;
   std::ifstream in_;
   std::vector<char> raw_;
-  std::vector<TraceEvent> events_;
   ColumnScratch scratch_;
 };
 
-/// Map-reduce engine over one indexed trace file (v2 or v3). Stateless
+/// Map-reduce engine over one indexed (v3) trace file. Stateless
 /// between scans; safe to reuse and cheap to construct (the index is
 /// read once or borrowed from a FileTraceSource).
 class ParallelTraceScanner {
  public:
   /// Open `path` and read its footer index. Throws std::runtime_error
-  /// when the file is not an indexed (v2 or v3) trace.
+  /// when the file is not an indexed (v3) trace.
   explicit ParallelTraceScanner(std::string path, ScanOptions options = {})
       : path_(std::move(path)),
         jobs_(resolve_jobs(options.jobs)),
         merge_window_(resolve_window(options, jobs_)) {
     std::ifstream in(path_, std::ios::binary);
     EIO_CHECK_MSG(in.good(), "cannot open for reading: " << path_);
-    format_ = sniff_format(in);
-    switch (format_) {
-      case TraceFormat::kBinaryV2: index_ = read_index_v2(in); break;
-      case TraceFormat::kBinaryV3: index_ = read_index_v3(in); break;
-      case TraceFormat::kTsv:
-      case TraceFormat::kBinaryV1:
-        throw std::runtime_error(
-            "parallel scan needs an indexed (v2/v3) trace: " + path_);
+    if (sniff_format(in) != TraceFormat::kBinaryV3) {
+      throw std::runtime_error(
+          "parallel scan needs an indexed (v3) trace: " + path_);
     }
+    index_ = read_index_v3(in);
     open_map();
   }
 
-  /// Reuse an index already read by a FileTraceSource (whose format()
-  /// tells which indexed variant it is).
+  /// Reuse an index already read by a FileTraceSource; `format` must be
+  /// kBinaryV3, the one indexed format.
   ParallelTraceScanner(std::string path, TraceFormat format, TraceIndex index,
                        ScanOptions options = {})
       : path_(std::move(path)),
-        format_(format),
         index_(std::move(index)),
         jobs_(resolve_jobs(options.jobs)),
         merge_window_(resolve_window(options, jobs_)) {
-    EIO_CHECK_MSG(format_ == TraceFormat::kBinaryV2 ||
-                      format_ == TraceFormat::kBinaryV3,
-                  "parallel scan needs an indexed (v2/v3) trace");
+    EIO_CHECK(format == TraceFormat::kBinaryV3);
     open_map();
   }
 
   [[nodiscard]] std::size_t jobs() const noexcept { return jobs_; }
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
-  [[nodiscard]] TraceFormat format() const noexcept { return format_; }
   [[nodiscard]] const TraceIndex& index() const noexcept { return index_; }
-  /// True when v3 chunks decode from a shared mmap (the zero-copy path).
+  /// True when chunks decode from a shared mmap (the zero-copy path).
   [[nodiscard]] bool zero_copy() const noexcept { return map_ != nullptr; }
 
   /// Wall-clock span of the whole trace (max chunk end time) — free
@@ -187,72 +158,19 @@ class ParallelTraceScanner {
   /// Map-reduce over the chunks `hint` admits (all chunks when null):
   ///
   ///   make(chunk_index)       -> Partial   (fresh, possibly seeded)
-  ///   fold(partial, events)                (one span = one chunk)
+  ///   fold(partial, batch)                 (one ColumnBatch = one chunk)
   ///   merge(into, std::move(from))         (ascending chunk order)
   ///
-  /// Returns the merged Partial; make(0) when no chunk is admitted.
-  /// The first worker exception is rethrown after the pool drains.
-  template <typename Make, typename Fold, typename Merge>
-  [[nodiscard]] auto scan(const Make& make, const Fold& fold,
-                          const Merge& merge,
-                          const ChunkHint* hint = nullptr) const
-      -> std::invoke_result_t<Make, std::size_t> {
-    using Partial = std::invoke_result_t<Make, std::size_t>;
-    return scan_impl(
-        make,
-        [this, &fold](ChunkReader& reader, Partial& p, std::size_t chunk) {
-          OBS_SPAN("scan.fold_chunk");
-          fold(p, reader.read(index_, chunk));
-        },
-        merge, hint);
-  }
-
-  /// Columnar map-reduce: same shape and determinism contract as
-  /// scan(), but the fold receives a decoded ColumnBatch restricted to
-  /// `mask`. On v3 files unmasked columns are never decoded (and with
-  /// the mmap path never copied); on v2 files rows are decoded then
-  /// shredded, so both formats fold the identical value sequence.
+  /// The fold receives each chunk decoded with only the `mask` columns
+  /// materialized; unmasked columns are never decoded (and with the
+  /// mmap path never copied). Returns the merged Partial; make(0) when
+  /// no chunk is admitted. The first worker exception is rethrown after
+  /// the pool drains.
   template <typename Make, typename Fold, typename Merge>
   [[nodiscard]] auto scan_columns(const Make& make, const Fold& fold,
                                   const Merge& merge,
                                   const ChunkHint* hint = nullptr,
                                   ColumnMask mask = kColAll) const
-      -> std::invoke_result_t<Make, std::size_t> {
-    using Partial = std::invoke_result_t<Make, std::size_t>;
-    return scan_impl(
-        make,
-        [this, &fold, mask](ChunkReader& reader, Partial& p,
-                            std::size_t chunk) {
-          OBS_SPAN("scan.fold_chunk");
-          fold(p, reader.read_columns(index_, chunk, mask));
-        },
-        merge, hint);
-  }
-
-  /// Kernel-set fold path: make(chunk_index) builds anything modeling
-  /// the analysis::Kernel concept (one kernel or a whole KernelSet);
-  /// ONE decode of each admitted chunk — restricted to the union
-  /// column mask the set reports — feeds every kernel in it, and
-  /// partials merge member-wise in chunk order. This is the fused
-  /// single-pass driver behind every eiotrace analysis subcommand.
-  template <typename Make>
-  [[nodiscard]] auto scan_kernels(const Make& make,
-                                  const ChunkHint* hint = nullptr) const
-      -> std::invoke_result_t<Make, std::size_t> {
-    using Set = std::invoke_result_t<Make, std::size_t>;
-    const ColumnMask mask = make(std::size_t{0}).required_columns();
-    return scan_columns(
-        make,
-        [](Set& set, const ColumnBatch& batch) { set.add_batch(batch); },
-        [](Set& into, Set&& from) { into.merge(std::move(from)); }, hint, mask);
-  }
-
- private:
-  /// The shared pool/merge machinery: produce(reader, partial, chunk)
-  /// decodes + folds one chunk however the public entry point decided.
-  template <typename Make, typename Produce, typename Merge>
-  [[nodiscard]] auto scan_impl(const Make& make, const Produce& produce,
-                               const Merge& merge, const ChunkHint* hint) const
       -> std::invoke_result_t<Make, std::size_t> {
     using Partial = std::invoke_result_t<Make, std::size_t>;
     OBS_SPAN("scan.scan");
@@ -262,6 +180,12 @@ class ParallelTraceScanner {
     OBS_COUNTER_ADD("scan.chunks_scanned", picks.size());
     OBS_COUNTER_ADD("scan.chunks_skipped", index_.chunks.size() - picks.size());
     if (picks.empty()) return make(std::size_t{0});
+
+    auto produce = [this, &fold, mask](ChunkReader& reader, Partial& p,
+                                       std::size_t chunk) {
+      OBS_SPAN("scan.fold_chunk");
+      fold(p, reader.read_columns(index_, chunk, mask));
+    };
 
     std::size_t workers = std::min(jobs_, picks.size());
     if (workers <= 1) {
@@ -348,11 +272,29 @@ class ParallelTraceScanner {
     return std::move(*result);
   }
 
-  /// Map v3 files once; every worker decodes from the same read-only
+  /// Kernel-set fold path: make(chunk_index) builds anything modeling
+  /// the analysis::Kernel concept (one kernel or a whole KernelSet);
+  /// ONE decode of each admitted chunk — restricted to the union
+  /// column mask the set reports — feeds every kernel in it, and
+  /// partials merge member-wise in chunk order. This is the fused
+  /// single-pass driver behind every eiotrace analysis subcommand.
+  template <typename Make>
+  [[nodiscard]] auto scan_kernels(const Make& make,
+                                  const ChunkHint* hint = nullptr) const
+      -> std::invoke_result_t<Make, std::size_t> {
+    using Set = std::invoke_result_t<Make, std::size_t>;
+    const ColumnMask mask = make(std::size_t{0}).required_columns();
+    return scan_columns(
+        make,
+        [](Set& set, const ColumnBatch& batch) { set.add_batch(batch); },
+        [](Set& into, Set&& from) { into.merge(std::move(from)); }, hint, mask);
+  }
+
+ private:
+  /// Map the file once; every worker decodes from the same read-only
   /// pages. A failed map (file vanished between index and scan) is not
   /// fatal — readers fall back to per-thread streams.
   void open_map() {
-    if (format_ != TraceFormat::kBinaryV3) return;
     try {
       map_ = std::make_unique<MappedFile>(path_);
     } catch (const std::runtime_error&) {
@@ -361,7 +303,7 @@ class ParallelTraceScanner {
   }
 
   [[nodiscard]] ChunkReader make_reader() const {
-    return {path_, format_, map_.get()};
+    return {path_, TraceFormat::kBinaryV3, map_.get()};
   }
 
   [[nodiscard]] static std::size_t resolve_window(const ScanOptions& options,
@@ -380,7 +322,6 @@ class ParallelTraceScanner {
   }
 
   std::string path_;
-  TraceFormat format_ = TraceFormat::kBinaryV2;
   TraceIndex index_;
   std::size_t jobs_;
   std::size_t merge_window_;

@@ -10,48 +10,21 @@
 
 namespace eio::ipm {
 
-void TraceSource::for_each_batch(const BatchVisitor& visit) const {
-  std::vector<TraceEvent> buffer;
-  buffer.reserve(kDefaultBatchEvents);
-  for_each([&](const TraceEvent& e) {
-    buffer.push_back(e);
-    if (buffer.size() == kDefaultBatchEvents) {
-      visit(std::span<const TraceEvent>(buffer));
-      buffer.clear();
-    }
-  });
-  if (!buffer.empty()) visit(std::span<const TraceEvent>(buffer));
-}
-
-void TraceSource::for_each_batch_hinted(const ChunkHint& hint,
-                                        const BatchVisitor& visit) const {
-  std::vector<TraceEvent> buffer;
-  buffer.reserve(kDefaultBatchEvents);
-  for_each_hinted(hint, [&](const TraceEvent& e) {
-    buffer.push_back(e);
-    if (buffer.size() == kDefaultBatchEvents) {
-      visit(std::span<const TraceEvent>(buffer));
-      buffer.clear();
-    }
-  });
-  if (!buffer.empty()) visit(std::span<const TraceEvent>(buffer));
-}
-
-void TraceSource::for_each_columns(ColumnMask mask,
-                                   const ColumnBatchVisitor& visit) const {
-  ColumnScratch scratch;
-  for_each_batch([&](std::span<const TraceEvent> events) {
-    visit(shred(events, scratch, mask));
-  });
-}
-
 void TraceSource::for_each_columns_hinted(
     const ChunkHint& hint, ColumnMask mask,
     const ColumnBatchVisitor& visit) const {
+  std::vector<TraceEvent> rows;
+  rows.reserve(kDefaultBatchEvents);
   ColumnScratch scratch;
-  for_each_batch_hinted(hint, [&](std::span<const TraceEvent> events) {
-    visit(shred(events, scratch, mask));
+  auto flush = [&] {
+    visit(shred(rows, scratch, mask));
+    rows.clear();
+  };
+  for_each_hinted(hint, [&](const TraceEvent& e) {
+    rows.push_back(e);
+    if (rows.size() == kDefaultBatchEvents) flush();
   });
+  if (!rows.empty()) flush();
 }
 
 double TraceSource::time_span() const {
@@ -84,20 +57,10 @@ void MemoryTraceSource::for_each(const EventVisitor& visit) const {
   for (const TraceEvent& e : trace_->events()) visit(e);
 }
 
-void MemoryTraceSource::for_each_batch(const BatchVisitor& visit) const {
-  // The whole trace is one contiguous run — a single span, no copying.
-  if (!trace_->empty()) visit(std::span<const TraceEvent>(trace_->events()));
-}
-
-void MemoryTraceSource::for_each_batch_hinted(const ChunkHint& hint,
-                                              const BatchVisitor& visit) const {
-  (void)hint;  // full scan is a valid superset
-  for_each_batch(visit);
-}
-
-void MemoryTraceSource::for_each_columns(
-    ColumnMask mask, const ColumnBatchVisitor& visit) const {
-  // One shred of the contiguous trace — a single columnar batch.
+void MemoryTraceSource::for_each_columns_hinted(
+    const ChunkHint& hint, ColumnMask mask,
+    const ColumnBatchVisitor& visit) const {
+  (void)hint;
   if (!trace_->empty()) {
     visit(shred(std::span<const TraceEvent>(trace_->events()), scratch_, mask));
   }
@@ -126,10 +89,6 @@ FileTraceSource::FileTraceSource(std::string path) : path_(std::move(path)) {
   stream_ = open_trace(path_);
   format_ = sniff_format(stream_);
   switch (format_) {
-    case TraceFormat::kBinaryV2:
-      index_ = read_index_v2(stream_);
-      meta_ = index_->meta;
-      break;
     case TraceFormat::kBinaryV3:
       index_ = read_index_v3(stream_);
       meta_ = index_->meta;
@@ -141,13 +100,12 @@ FileTraceSource::FileTraceSource(std::string path) : path_(std::move(path)) {
         map_ = nullptr;
       }
       break;
-    case TraceFormat::kTsv:
-    case TraceFormat::kBinaryV1: {
-      // The legacy formats keep no trailing index, so validating the
-      // header costs one pass; the constructor pays it once and meta()
-      // stays cheap thereafter.
+    case TraceFormat::kTsv: {
+      // TSV keeps no trailing index, so validating the header costs
+      // one pass; the constructor pays it once and meta() stays cheap
+      // thereafter.
       std::uint64_t counted = 0;
-      meta_ = stream_any(stream_, [&counted](const TraceEvent&) { ++counted; });
+      meta_ = stream_tsv(stream_, [&counted](const TraceEvent&) { ++counted; });
       if (!meta_.declared_events) meta_.declared_events = counted;
       break;
     }
@@ -159,19 +117,6 @@ std::istream& FileTraceSource::reset_stream() const {
   stream_.seekg(0);
   EIO_CHECK_MSG(stream_.good(), "cannot rewind trace: " << path_);
   return stream_;
-}
-
-void FileTraceSource::stream_legacy(const EventVisitor& visit) const {
-  // The format was sniffed at open; dispatch directly instead of
-  // re-sniffing the magic on every pass.
-  auto& in = reset_stream();
-  switch (format_) {
-    case TraceFormat::kTsv: (void)stream_tsv(in, visit); return;
-    case TraceFormat::kBinaryV1: (void)stream_binary_v1(in, visit); return;
-    case TraceFormat::kBinaryV2:
-    case TraceFormat::kBinaryV3: break;  // handled by scan_chunks
-  }
-  EIO_CHECK_MSG(false, "stream_legacy on an indexed trace");
 }
 
 ColumnBatch FileTraceSource::decode_columns(std::size_t i,
@@ -188,101 +133,38 @@ ColumnBatch FileTraceSource::decode_columns(std::size_t i,
   return read_chunk_v3(stream_, chunk, byte_len, raw_, scratch_, mask);
 }
 
-void FileTraceSource::scan_chunks(const ChunkHint* hint,
-                                  const BatchVisitor& batch) const {
-  auto& in = reset_stream();
-  for (std::size_t i = 0; i < index_->chunks.size(); ++i) {
-    const ChunkMeta& chunk = index_->chunks[i];
-    if (hint && !hint->admits(chunk)) {
-      OBS_COUNTER_ADD("scan.chunks_skipped", 1);
-      continue;
-    }
-    OBS_COUNTER_ADD("scan.chunks_scanned", 1);
-    if (format_ == TraceFormat::kBinaryV2) {
-      read_chunk_v2(in, chunk, chunk_byte_length(*index_, i), raw_, batch_);
-    } else {
-      unshred(decode_columns(i, kColAll), batch_);
-    }
-    batch(std::span<const TraceEvent>(batch_));
-  }
-}
-
-void FileTraceSource::scan_chunk_columns(
-    const ChunkHint* hint, ColumnMask mask,
-    const ColumnBatchVisitor& visit) const {
-  (void)reset_stream();
-  for (std::size_t i = 0; i < index_->chunks.size(); ++i) {
-    const ChunkMeta& chunk = index_->chunks[i];
-    if (hint && !hint->admits(chunk)) {
-      OBS_COUNTER_ADD("scan.chunks_skipped", 1);
-      continue;
-    }
-    OBS_COUNTER_ADD("scan.chunks_scanned", 1);
-    if (format_ == TraceFormat::kBinaryV2) {
-      read_chunk_v2(stream_, chunk, chunk_byte_length(*index_, i), raw_,
-                    batch_);
-      visit(shred(std::span<const TraceEvent>(batch_), scratch_, mask));
-    } else {
-      visit(decode_columns(i, mask));
-    }
-  }
-}
-
 void FileTraceSource::for_each(const EventVisitor& visit) const {
-  if (index_) {
-    scan_chunks(nullptr, [&visit](std::span<const TraceEvent> events) {
-      for (const TraceEvent& e : events) visit(e);
-    });
-    return;
-  }
-  stream_legacy(visit);
+  for_each_hinted(ChunkHint{}, visit);
 }
 
 void FileTraceSource::for_each_hinted(const ChunkHint& hint,
                                       const EventVisitor& visit) const {
   if (!index_) {
-    stream_legacy(visit);
+    (void)stream_tsv(reset_stream(), visit);
     return;
   }
-  scan_chunks(&hint, [&visit](std::span<const TraceEvent> events) {
-    for (const TraceEvent& e : events) visit(e);
+  for_each_columns_hinted(hint, kColAll, [&](const ColumnBatch& batch) {
+    unshred(batch, batch_);
+    for (const TraceEvent& e : batch_) visit(e);
   });
-}
-
-void FileTraceSource::for_each_batch(const BatchVisitor& visit) const {
-  if (index_) {
-    scan_chunks(nullptr, visit);
-    return;
-  }
-  TraceSource::for_each_batch(visit);
-}
-
-void FileTraceSource::for_each_batch_hinted(const ChunkHint& hint,
-                                            const BatchVisitor& visit) const {
-  if (index_) {
-    scan_chunks(&hint, visit);
-    return;
-  }
-  TraceSource::for_each_batch_hinted(hint, visit);
-}
-
-void FileTraceSource::for_each_columns(ColumnMask mask,
-                                       const ColumnBatchVisitor& visit) const {
-  if (index_) {
-    scan_chunk_columns(nullptr, mask, visit);
-    return;
-  }
-  TraceSource::for_each_columns(mask, visit);
 }
 
 void FileTraceSource::for_each_columns_hinted(
     const ChunkHint& hint, ColumnMask mask,
     const ColumnBatchVisitor& visit) const {
-  if (index_) {
-    scan_chunk_columns(&hint, mask, visit);
+  if (!index_) {
+    TraceSource::for_each_columns_hinted(hint, mask, visit);
     return;
   }
-  TraceSource::for_each_columns_hinted(hint, mask, visit);
+  (void)reset_stream();
+  for (std::size_t i = 0; i < index_->chunks.size(); ++i) {
+    if (!hint.admits(index_->chunks[i])) {
+      OBS_COUNTER_ADD("scan.chunks_skipped", 1);
+      continue;
+    }
+    OBS_COUNTER_ADD("scan.chunks_scanned", 1);
+    visit(decode_columns(i, mask));
+  }
 }
 
 double FileTraceSource::time_span() const {
@@ -293,9 +175,8 @@ double FileTraceSource::time_span() const {
 }
 
 std::uint64_t FileTraceSource::event_count() const {
-  // Every backing format declares its count (TSV via the header field,
-  // v1 via the up-front varint, v2/v3 via the footer), and the
-  // constructor's metadata pass validated it.
+  // Both formats declare their count (TSV via the header field, v3 via
+  // the footer), and the constructor's metadata pass validated it.
   return meta_.declared_events.value_or(0);
 }
 

@@ -1,19 +1,15 @@
-// Shared wire-format primitives for the binary trace formats.
+// Wire-format primitives for the binary trace format.
 //
-// v1, v2 and v3 all speak the same low-level vocabulary: little-endian
+// The low-level vocabulary of the v3 container: little-endian
 // fixed-width scalars, LEB128 varints, zigzag for signed fields, a
-// bounds-checked in-memory cursor for hot decode paths, and (for the
-// indexed formats) the chunk-meta/footer/trailer records. This header
-// is that vocabulary, factored out of trace_stream.cpp so the v3
-// columnar codec in trace_v3.cpp shares one implementation instead of
-// copying it. Everything here is an internal detail of eio::ipm's
-// serialization layer — analysis code should stay on the public
-// surfaces in trace_stream.h / trace_v3.h.
+// bounds-checked in-memory cursor for hot decode paths, and the
+// chunk-meta/footer/trailer records. Everything here is an internal
+// detail of eio::ipm's serialization layer — analysis code should stay
+// on the public surfaces in trace_stream.h / trace_v3.h.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -26,14 +22,10 @@
 
 namespace eio::ipm::wire {
 
-// The format magics. Each binary format opens with an 8-byte magic;
-// the indexed formats (v2, v3) also end with an 8-byte trailer magic
-// preceded by the u64 footer offset.
+// The format magics. A binary trace opens with an 8-byte magic and
+// ends with an 8-byte trailer magic preceded by the u64 footer offset.
 inline constexpr char kTsvMagic[] = "# ipm-io-trace";
-inline constexpr char kMagicV1[8] = {'I', 'P', 'M', 'I', 'O', 'B', '1', '\n'};
-inline constexpr char kMagicV2[8] = {'I', 'P', 'M', 'I', 'O', 'B', '2', '\n'};
 inline constexpr char kMagicV3[8] = {'I', 'P', 'M', 'I', 'O', 'B', '3', '\n'};
-inline constexpr char kTrailerV2[8] = {'I', 'P', 'M', '2', 'I', 'D', 'X', '\n'};
 inline constexpr char kTrailerV3[8] = {'I', 'P', 'M', '3', 'I', 'D', 'X', '\n'};
 
 // Sanity caps rejecting absurd header fields before they turn into
@@ -128,14 +120,6 @@ struct ByteReader {
         throw std::runtime_error("corrupt varint in binary trace");
       }
     }
-  }
-
-  double f64() {
-    if (end - p < static_cast<std::ptrdiff_t>(sizeof(double))) truncated();
-    double value;
-    std::memcpy(&value, p, sizeof value);
-    p += sizeof value;
-    return value;
   }
 
   /// A sized sub-span of raw bytes (column payloads).
@@ -241,7 +225,7 @@ inline std::pair<std::vector<ChunkMeta>, std::uint64_t> get_footer(
   return {std::move(chunks), total};
 }
 
-/// Write the shared chunked-format header (magic + ranks + name).
+/// Write the chunked-format header (magic + ranks + name).
 inline void write_header(std::ostream& out, const char (&magic)[8],
                          std::uint32_t ranks, const std::string& experiment) {
   out.write(magic, 8);
@@ -251,7 +235,7 @@ inline void write_header(std::ostream& out, const char (&magic)[8],
             static_cast<std::streamsize>(experiment.size()));
 }
 
-/// Read the shared chunked-format header back.
+/// Read the chunked-format header back.
 inline TraceMeta get_header(std::istream& in, const char (&magic)[8],
                             const char* what) {
   check_magic(in, magic, what);
@@ -261,7 +245,7 @@ inline TraceMeta get_header(std::istream& in, const char (&magic)[8],
   return meta;
 }
 
-/// Write the footer index + 16-byte trailer the indexed formats share:
+/// Write the footer index + 16-byte trailer:
 /// footer tag, chunk metas, total, then the fixed (footer offset +
 /// trailer magic) record a seekable reader jumps to.
 inline void write_footer(std::ostream& out,
@@ -277,7 +261,7 @@ inline void write_footer(std::ostream& out,
   out.write(trailer_magic, 8);
 }
 
-/// Read the footer index of an indexed (v2/v3) trace from a seekable
+/// Read the footer index of an indexed trace from a seekable
 /// stream: validate the trailer magic and footer bounds, then check
 /// every chunk offset is in-bounds and strictly increasing (the sized
 /// chunk reads derive each chunk's byte length from the next offset,

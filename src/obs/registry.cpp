@@ -284,10 +284,15 @@ Snapshot Registry::snapshot() const {
     s.total_s = m.total;
     s.min_s = m.min;
     s.max_s = m.max;
+    // Bin centres can fall outside the observed range (a lone sample
+    // sits anywhere in its log bin); no quantile may leave [min, max].
     std::size_t n = m.moments.count();
-    s.p50_s = histogram_quantile(m.hist, n, 0.50);
-    s.p95_s = histogram_quantile(m.hist, n, 0.95);
-    s.p99_s = histogram_quantile(m.hist, n, 0.99);
+    auto quantile = [&](double q) {
+      return std::clamp(histogram_quantile(m.hist, n, q), m.min, m.max);
+    };
+    s.p50_s = quantile(0.50);
+    s.p95_s = quantile(0.95);
+    s.p99_s = quantile(0.99);
     snap.latency.push_back(std::move(s));
   }
   auto by_name = [](const auto& a, const auto& b) { return a.name < b.name; };

@@ -20,6 +20,7 @@
 #include "campaign/store.h"
 #include "campaign/worker.h"
 #include "cli/eiotrace.h"
+#include "temp_path.h"
 #include "workloads/sweep.h"
 
 namespace eio::campaign {
@@ -37,9 +38,7 @@ std::string slurp(const std::string& path) {
 class CampaignTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) /
-           ("campaign_test_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)));
+    dir_ = fs::path(testutil::temp_path());
     fs::create_directories(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -16,6 +17,7 @@
 #include "ipm/trace_stream.h"
 #include "ipm/trace_v3.h"
 #include "obs/registry.h"
+#include "temp_path.h"
 
 namespace eio::cli {
 namespace {
@@ -62,30 +64,21 @@ class EiotraceTest : public ::testing::Test {
   }
 
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/eiotrace_test.tsv";
+    path_ = testutil::temp_path(".tsv");
     fixture_trace().save(path_);
   }
 
   void TearDown() override { std::remove(path_.c_str()); }
 
-  /// The fixture trace as an indexed file with small chunks, so even
+  /// The fixture trace as an indexed v3 file with small chunks, so even
   /// this little trace gives the chunk counters something to count.
-  static std::string write_chunked(bool v3, const std::string& tag) {
+  static std::string write_chunked() {
     const ipm::Trace t = fixture_trace();
-    std::string path = ::testing::TempDir() + "/eiotrace_" + tag +
-                       (v3 ? ".v3" : ".v2");
+    std::string path = testutil::temp_path(".v3");
     std::ofstream out(path, std::ios::binary);
-    if (v3) {
-      ipm::TraceWriterV3 w(out, t.experiment(), t.ranks(),
-                           {.chunk_events = 16});
-      for (const ipm::TraceEvent& e : t.events()) w.add(e);
-      w.finish();
-    } else {
-      ipm::TraceWriterV2 w(out, t.experiment(), t.ranks(),
-                           {.chunk_events = 16});
-      for (const ipm::TraceEvent& e : t.events()) w.add(e);
-      w.finish();
-    }
+    ipm::TraceWriterV3 w(out, t.experiment(), t.ranks(), {.chunk_events = 16});
+    for (const ipm::TraceEvent& e : t.events()) w.add(e);
+    w.finish();
     return path;
   }
 
@@ -216,7 +209,7 @@ TEST_F(EiotraceTest, CompareNeedsTwoFiles) {
 }
 
 TEST_F(EiotraceTest, ConvertRoundTripsThroughBinary) {
-  std::string bin = ::testing::TempDir() + "/eiotrace_test.bin";
+  std::string bin = testutil::temp_path(".bin");
   auto [rc, out, err] = run({"convert", path_, bin});
   EXPECT_EQ(rc, 0);
   // The binary file is analyzable like the original.
@@ -227,8 +220,8 @@ TEST_F(EiotraceTest, ConvertRoundTripsThroughBinary) {
 }
 
 TEST_F(EiotraceTest, ConvertFormatFlagRoundTripsThroughV3) {
-  std::string v3 = ::testing::TempDir() + "/eiotrace_test.v3";
-  std::string back = ::testing::TempDir() + "/eiotrace_test_back.tsv";
+  std::string v3 = testutil::temp_path(".v3");
+  std::string back = testutil::temp_path("_back.tsv");
   auto [rc, out, err] = run({"convert", path_, v3, "--format=v3"});
   EXPECT_EQ(rc, 0) << err;
 
@@ -250,8 +243,8 @@ TEST_F(EiotraceTest, ConvertFormatFlagRoundTripsThroughV3) {
 }
 
 TEST_F(EiotraceTest, ConvertToSameFormatIsACheckedByteCopy) {
-  std::string v3 = ::testing::TempDir() + "/eiotrace_test_noop.v3";
-  std::string copy = ::testing::TempDir() + "/eiotrace_test_noop_copy.v3";
+  std::string v3 = testutil::temp_path(".v3");
+  std::string copy = testutil::temp_path("_copy.v3");
   auto [rc, out, err] = run({"convert", path_, v3, "--format=v3"});
   ASSERT_EQ(rc, 0) << err;
 
@@ -272,12 +265,42 @@ TEST_F(EiotraceTest, ConvertToSameFormatIsACheckedByteCopy) {
 }
 
 TEST_F(EiotraceTest, ConvertRejectsConflictingAndUnknownFormats) {
-  std::string out_path = ::testing::TempDir() + "/eiotrace_test_bad.bin";
+  std::string out_path = testutil::temp_path(".bin");
   auto [rc, out, err] = run({"convert", path_, out_path, "--format=v9"});
   EXPECT_NE(rc, 0);
   auto [rc2, out2, err2] =
       run({"convert", path_, out_path, "--format=v3", "--tsv"});
   EXPECT_NE(rc2, 0);
+  // The retired binary formats are gone from both --format options.
+  for (const char* retired : {"--format=v1", "--format=v2", "--v1"}) {
+    auto [rc3, out3, err3] = run({"convert", path_, out_path, retired});
+    EXPECT_EQ(rc3, 1) << retired;
+  }
+  auto [rc4, out4, err4] = run({"simulate", "--runs=1", "--tasks=8",
+                                "--save-dir=" + testutil::temp_path(),
+                                "--format=v2"});
+  EXPECT_EQ(rc4, 1);
+  EXPECT_NE(err4.find("(tsv|v3)"), std::string::npos) << err4;
+  std::remove(out_path.c_str());
+}
+
+TEST_F(EiotraceTest, RetiredBinaryFormatsFailWithAnError) {
+  // A v1 or v2 file is refused up front with a named error and a
+  // nonzero exit, never analysed as something else.
+  for (const char* magic : {"IPMIOB1\n", "IPMIOB2\n"}) {
+    const std::string path = testutil::temp_path(".bin");
+    {
+      std::ofstream f(path, std::ios::binary);
+      f << magic << std::string(64, '\x01');
+    }
+    auto [rc, out, err] = run({"summary", path});
+    EXPECT_NE(rc, 0) << magic;
+    EXPECT_TRUE(out.empty()) << out;
+    EXPECT_NE(err.find("unsupported binary ipm-io trace version"),
+              std::string::npos)
+        << err;
+    std::remove(path.c_str());
+  }
 }
 
 TEST_F(EiotraceTest, SimulateRunsAnEnsembleWithoutATraceFile) {
@@ -290,7 +313,8 @@ TEST_F(EiotraceTest, SimulateRunsAnEnsembleWithoutATraceFile) {
 }
 
 TEST_F(EiotraceTest, SimulateSavesTraces) {
-  std::string dir = ::testing::TempDir();
+  std::string dir = testutil::temp_path();
+  std::filesystem::create_directories(dir);
   auto [rc, out, err] =
       run({"simulate", "--runs=2", "--tasks=8", "--block-mib=8",
            "--segments=1", "--save-dir=" + dir});
@@ -300,8 +324,7 @@ TEST_F(EiotraceTest, SimulateSavesTraces) {
   auto [rc2, out2, err2] = run({"summary", saved});
   EXPECT_EQ(rc2, 0);
   EXPECT_NE(out2.find("write"), std::string::npos);
-  std::remove(saved.c_str());
-  std::remove((dir + "/run1.tsv").c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(EiotraceTest, SimulateRejectsUnknownMachine) {
@@ -364,7 +387,7 @@ TEST_F(EiotraceTest, HelpWithCommandShowsItsFlagTable) {
 }
 
 TEST_F(EiotraceTest, SimulateScenarioFileEndToEnd) {
-  std::string scen = ::testing::TempDir() + "/scenario.json";
+  std::string scen = testutil::temp_path(".json");
   {
     std::ofstream f(scen);
     f << R"({
@@ -401,7 +424,8 @@ TEST_F(EiotraceTest, SlowOstScenarioDiagnosesTheDegradedOst) {
   // and fed back through diagnose, names the injected OST.
   std::string scen =
       std::string(EIO_SOURCE_DIR) + "/examples/scenarios/slow_ost.json";
-  std::string dir = ::testing::TempDir();
+  std::string dir = testutil::temp_path();
+  std::filesystem::create_directories(dir);
   auto [rc, out, err] =
       run({"simulate", "--scenario=" + scen, "--runs=1", "--save-dir=" + dir});
   ASSERT_EQ(rc, 0) << err;
@@ -411,7 +435,7 @@ TEST_F(EiotraceTest, SlowOstScenarioDiagnosesTheDegradedOst) {
   EXPECT_EQ(rc2, 0) << err2;
   EXPECT_NE(out2.find("degraded-ost"), std::string::npos);
   EXPECT_NE(out2.find("OST 5"), std::string::npos);
-  std::remove(trace.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(EiotraceTest, PhaseFilterNarrowsEvents) {
@@ -435,14 +459,14 @@ TEST_F(EiotraceTest, AnalyzeBundlesAllSections) {
 }
 
 TEST_F(EiotraceTest, AnalyzeIsByteIdenticalAcrossJobsAndFormats) {
-  // The fused one-pass bundle must print exactly what it printed
-  // before fusing — for every --jobs value and every encoding.
-  const std::string v2 = write_chunked(false, "analyze_fmt");
-  const std::string v3 = write_chunked(true, "analyze_fmt");
+  // The fused one-pass bundle must print the same bytes for every
+  // --jobs value and both encodings: the serial TSV pass pins the
+  // chunk-parallel v3 scan.
+  const std::string v3 = write_chunked();
 
   auto [rc, base, err] = run({"analyze", path_});
   ASSERT_EQ(rc, 0) << err;
-  for (const std::string& file : {v2, v3}) {
+  for (const std::string& file : {path_, v3}) {
     for (const char* jobs : {"", "--jobs=1", "--jobs=2", "--jobs=4"}) {
       std::vector<std::string> args{"analyze", file};
       if (*jobs != '\0') args.push_back(jobs);
@@ -451,7 +475,6 @@ TEST_F(EiotraceTest, AnalyzeIsByteIdenticalAcrossJobsAndFormats) {
       EXPECT_EQ(out2, base) << file << " " << jobs;
     }
   }
-  std::remove(v2.c_str());
   std::remove(v3.c_str());
 }
 
@@ -468,7 +491,7 @@ TEST_F(EiotraceTest, EveryAnalysisSubcommandScansTheTraceExactlyOnce) {
   // chunk exactly once. The fixture file has 80 events in 16-event
   // chunks, so a second pass would double the tally.
   if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
-  const std::string v3 = write_chunked(true, "one_scan");
+  const std::string v3 = write_chunked();
   const std::size_t chunks = [&] {
     ipm::FileTraceSource source(v3);
     return source.index()->chunks.size();

@@ -23,6 +23,7 @@
 #include "core/trace_diagram.h"
 #include "ipm/report.h"
 #include "ipm/trace_source.h"
+#include "temp_path.h"
 #include "workloads/gcrm.h"
 #include "workloads/ior.h"
 #include "workloads/madbench.h"
@@ -252,14 +253,13 @@ TEST(StreamingEquivalenceTest, TraceDiagramMatchesBatchRaster) {
   }
 }
 
-TEST(StreamingEquivalenceTest, V2FileRoundTripPreservesAnalysisInputs) {
-  // The full pipeline: workload trace -> v2 file -> FileTraceSource ->
+TEST(StreamingEquivalenceTest, V3FileRoundTripPreservesAnalysisInputs) {
+  // The full pipeline: workload trace -> v3 file -> FileTraceSource ->
   // streaming filter must yield the very vector the in-memory batch
   // path computes.
   for (const ipm::Trace& t : seed_traces()) {
-    std::string path = ::testing::TempDir() + "/eio_equiv_" + t.experiment() +
-                       ".bin";
-    t.save_binary_v2(path);
+    std::string path = testutil::temp_path("_" + t.experiment() + ".v3");
+    t.save_binary_v3(path);
     ipm::FileTraceSource source(path);
     EventFilter f{.op = posix::OpType::kWrite};
     EXPECT_EQ(durations(source, f), durations(t, f)) << t.experiment();

@@ -1,10 +1,19 @@
-// Unit tests for trace containers and serialization round-trips.
+// Unit tests for trace containers, serialization round-trips, format
+// sniffing, and the capture-side sinks.
 #include "ipm/trace.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+
+#include "ipm/sink.h"
+#include "ipm/trace_source.h"
+#include "ipm/trace_stream.h"
+#include "temp_path.h"
 
 namespace eio::ipm {
 namespace {
@@ -102,7 +111,7 @@ TEST(TraceTest, SortByStartIsStable) {
 TEST(TraceTest, SaveLoadFileRoundTrip) {
   Trace t("file-io", 2);
   t.add(make_event(0.5, 0.25, posix::OpType::kFsync, 1, 0));
-  std::string path = ::testing::TempDir() + "/eio_trace_test.tsv";
+  std::string path = testutil::temp_path(".tsv");
   t.save(path);
   Trace back = Trace::load(path);
   EXPECT_EQ(back.size(), 1u);
@@ -120,7 +129,7 @@ TEST(TraceTest, BinaryRoundTripPreservesEverything) {
   t.add(make_event(3.0, 0.001, posix::OpType::kSeek, 5, 0, -2));
   t.add(make_event(3.5, 1.0, posix::OpType::kRead, 7, 4096, 7));
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  t.write_binary(ss);
+  t.write_binary_v3(ss);
   Trace back = Trace::read_binary(ss);
   EXPECT_EQ(back.experiment(), "binary-test");
   EXPECT_EQ(back.ranks(), 16u);
@@ -143,7 +152,7 @@ TEST(TraceTest, BinaryIsSmallerThanTsv) {
   }
   std::stringstream tsv, bin;
   t.write(tsv);
-  t.write_binary(bin);
+  t.write_binary_v3(bin);
   EXPECT_LT(bin.str().size(), tsv.str().size() / 1.5);
 }
 
@@ -154,7 +163,7 @@ TEST(TraceTest, BinaryRejectsGarbageAndTruncation) {
   Trace t("x", 1);
   t.add(make_event(0, 1, posix::OpType::kRead, 0, 8));
   std::stringstream ss;
-  t.write_binary(ss);
+  t.write_binary_v3(ss);
   std::string truncated = ss.str().substr(0, ss.str().size() - 10);
   std::stringstream cut(truncated);
   EXPECT_THROW((void)Trace::read_binary(cut), std::runtime_error);
@@ -163,10 +172,10 @@ TEST(TraceTest, BinaryRejectsGarbageAndTruncation) {
 TEST(TraceTest, LoadAutoDetectsBothFormats) {
   Trace t("autodetect", 2);
   t.add(make_event(1.0, 2.0, posix::OpType::kFsync, 1, 0));
-  std::string tsv_path = ::testing::TempDir() + "/eio_auto.tsv";
-  std::string bin_path = ::testing::TempDir() + "/eio_auto.bin";
+  std::string tsv_path = testutil::temp_path(".tsv");
+  std::string bin_path = testutil::temp_path(".v3");
   t.save(tsv_path);
-  t.save_binary(bin_path);
+  t.save_binary_v3(bin_path);
   Trace from_tsv = Trace::load(tsv_path);
   Trace from_bin = Trace::load(bin_path);
   EXPECT_EQ(from_tsv.size(), 1u);
@@ -184,6 +193,97 @@ TEST(TraceTest, EmptyTraceRoundTrips) {
   Trace back = Trace::read(ss);
   EXPECT_TRUE(back.empty());
   EXPECT_EQ(back.experiment(), "empty");
+}
+
+Trace sample_trace(std::size_t events) {
+  Trace t("sample", 8);
+  for (std::size_t i = 0; i < events; ++i) {
+    t.add(make_event(0.25 * static_cast<double>(i), 0.125,
+                     i % 3 == 0 ? posix::OpType::kRead : posix::OpType::kWrite,
+                     static_cast<RankId>(i % 8), 1 << 16,
+                     static_cast<std::int32_t>(i / 10)));
+  }
+  return t;
+}
+
+TEST(TraceTest, TsvHeaderCountMismatchThrows) {
+  Trace t = sample_trace(3);
+  std::stringstream ss;
+  t.write(ss);
+  std::string text = ss.str();
+  // Drop the last event line; the header still declares 3.
+  text.erase(text.rfind('\n', text.size() - 2) + 1);
+  std::stringstream damaged(text);
+  EXPECT_THROW((void)Trace::read(damaged), std::runtime_error);
+}
+
+TEST(TraceTest, SniffRejectsUnknownMagic) {
+  std::stringstream junk("GARBAGE!definitely not a trace");
+  EXPECT_THROW((void)sniff_format(junk), std::runtime_error);
+  // read_binary must also refuse a TSV stream rather than misparse it.
+  Trace t = sample_trace(1);
+  std::stringstream tsv;
+  t.write(tsv);
+  EXPECT_THROW((void)Trace::read_binary(tsv), std::runtime_error);
+}
+
+TEST(TraceTest, RetiredBinaryMagicsAreRejected) {
+  // Files from the retired row formats (v1, v2) must fail loudly by
+  // version — never be sniffed as something else or half-analysed.
+  for (const char* magic : {"IPMIOB1\n", "IPMIOB2\n"}) {
+    const std::string path = testutil::temp_path(".bin");
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << magic << std::string(64, '\x01');
+    }
+    try {
+      FileTraceSource source(path);
+      ADD_FAILURE() << "accepted a file with magic " << magic;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW((void)Trace::load(path), std::runtime_error) << magic;
+    std::remove(path.c_str());
+  }
+}
+
+TEST(TraceTest, FileTraceSourceReportsMetaForAllFormats) {
+  Trace t = sample_trace(9);
+  const std::string tsv = testutil::temp_path(".tsv");
+  const std::string v3 = testutil::temp_path(".v3");
+  t.save(tsv);
+  t.save_binary_v3(v3);
+  for (const std::string& path : {tsv, v3}) {
+    FileTraceSource source(path);
+    EXPECT_EQ(source.meta().experiment, "sample") << path;
+    EXPECT_EQ(source.meta().ranks, 8u) << path;
+    EXPECT_EQ(source.event_count(), 9u) << path;
+    std::size_t visited = 0;
+    source.for_each([&visited](const TraceEvent&) { ++visited; });
+    EXPECT_EQ(visited, 9u) << path;
+    Trace back = source.materialize();
+    EXPECT_EQ(back.size(), 9u) << path;
+    EXPECT_DOUBLE_EQ(back.events()[4].start, 1.0) << path;
+  }
+  std::remove(tsv.c_str());
+  std::remove(v3.c_str());
+}
+
+TEST(TraceTest, SinksComposeOnTheCaptureSide) {
+  Trace captured("sink", 2);
+  TraceSink trace_sink(captured);
+  std::size_t calls = 0;
+  FunctionSink counter([&calls](const TraceEvent&) { ++calls; });
+  for (int i = 0; i < 5; ++i) {
+    TraceEvent e = make_event(i, 0.5, posix::OpType::kWrite, 0, 128);
+    trace_sink.on_event(e);
+    counter.on_event(e);
+  }
+  trace_sink.finish();
+  counter.finish();
+  EXPECT_EQ(captured.size(), 5u);
+  EXPECT_EQ(calls, 5u);
 }
 
 }  // namespace

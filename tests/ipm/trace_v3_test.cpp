@@ -1,7 +1,8 @@
-// Binary v3 format: columnar round-trips, exact v2<->v3 conversion,
-// selective (masked) decode, the RLE codec, the mmap zero-copy path,
-// and the corrupt/truncated-input sweep — every damaged input must
-// throw std::runtime_error, never crash or parse as complete.
+// Binary v3 format: columnar round-trips, byte-exact re-encoding, the
+// footer index and chunk hints, selective (masked) decode, the RLE
+// codec, the mmap zero-copy path, and the corrupt/truncated-input
+// sweep — every damaged input must throw std::runtime_error, never
+// crash or parse as complete.
 #include "ipm/trace_v3.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "ipm/trace_source.h"
 #include "ipm/trace_stream.h"
 #include "ipm/wire.h"
+#include "temp_path.h"
 
 namespace eio::ipm {
 namespace {
@@ -86,7 +88,7 @@ TEST(TraceV3Test, EmptyTraceRoundTrips) {
 
 TEST(TraceV3Test, LoadAutoDetectsV3) {
   Trace t = sample_trace(5);
-  std::string path = ::testing::TempDir() + "/eio_v3_auto.bin";
+  std::string path = testutil::temp_path(".v3");
   t.save_binary_v3(path);
   Trace back = Trace::load(path);
   EXPECT_EQ(back.size(), 5u);
@@ -94,10 +96,11 @@ TEST(TraceV3Test, LoadAutoDetectsV3) {
   std::remove(path.c_str());
 }
 
-TEST(TraceV3Test, V2ToV3ToV2IsByteExact) {
+TEST(TraceV3Test, V3RewriteIsByteExact) {
   // Every column encoding is exact (raw f64 time columns, wraparound-
-  // safe delta varints), so converting through v3 reproduces the
-  // original v2 bytes — including doubles that are not round decimals.
+  // safe delta varints), so decoding a v3 file and re-encoding the
+  // events reproduces the original bytes — including doubles that are
+  // not round decimals.
   Trace t("exact", 32);
   for (int i = 0; i < 500; ++i) {
     t.add(make_event(1.0 / 3.0 * i, 1e-7 * (i % 97),
@@ -105,18 +108,20 @@ TEST(TraceV3Test, V2ToV3ToV2IsByteExact) {
                      static_cast<RankId>(i % 32), (i % 7) * 4096 + i,
                      (i % 13) - 6));
   }
-  std::stringstream v2a(std::ios::in | std::ios::out | std::ios::binary);
-  t.write_binary_v2(v2a);
+  std::stringstream first(std::ios::in | std::ios::out | std::ios::binary);
+  t.write_binary_v3(first);
 
-  std::stringstream v2a_read(v2a.str());
-  Trace via = Trace::read_binary(v2a_read);
-  std::stringstream v3(std::ios::in | std::ios::out | std::ios::binary);
-  via.write_binary_v3(v3);
-  Trace via2 = Trace::read_binary(v3);
-  std::stringstream v2b(std::ios::in | std::ios::out | std::ios::binary);
-  via2.write_binary_v2(v2b);
+  std::stringstream first_read(first.str());
+  Trace via = Trace::read_binary(first_read);
+  ASSERT_EQ(via.size(), t.size());
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    EXPECT_EQ(via.events()[i].start, t.events()[i].start);
+    EXPECT_EQ(via.events()[i].duration, t.events()[i].duration);
+  }
+  std::stringstream second(std::ios::in | std::ios::out | std::ios::binary);
+  via.write_binary_v3(second);
 
-  EXPECT_EQ(v2a.str(), v2b.str());
+  EXPECT_EQ(first.str(), second.str());
 }
 
 TEST(TraceV3Test, WriterChunksAndFooterIndexAgree) {
@@ -142,6 +147,22 @@ TEST(TraceV3Test, WriterChunksAndFooterIndexAgree) {
   }
   EXPECT_EQ(total, 30u);
   EXPECT_EQ(index.chunks.back().events, 6u);
+}
+
+TEST(TraceV3Test, ChunkHintAdmitsUsesFooterMetadata) {
+  ChunkMeta chunk;
+  chunk.op_mask = 1u << static_cast<unsigned>(posix::OpType::kWrite);
+  chunk.rank_lo = 2;
+  chunk.rank_hi = 5;
+  chunk.phase_lo = -1;
+  chunk.phase_hi = 3;
+  EXPECT_TRUE(ChunkHint{}.admits(chunk));
+  EXPECT_TRUE(ChunkHint{.op = posix::OpType::kWrite}.admits(chunk));
+  EXPECT_FALSE(ChunkHint{.op = posix::OpType::kRead}.admits(chunk));
+  EXPECT_TRUE(ChunkHint{.phase = -1}.admits(chunk));
+  EXPECT_FALSE(ChunkHint{.phase = 4}.admits(chunk));
+  EXPECT_TRUE(ChunkHint{.rank = 5}.admits(chunk));
+  EXPECT_FALSE(ChunkHint{.rank = 6}.admits(chunk));
 }
 
 TEST(TraceV3Test, MaskedDecodeSkipsUnrequestedColumns) {
@@ -358,10 +379,10 @@ TEST(TraceV3Test, CorruptCompressionHeaderThrows) {
 }
 
 TEST(TraceV3Test, MappedFileRejectsEmptyAndMissingFiles) {
-  const std::string missing = ::testing::TempDir() + "/eio_v3_nonexistent";
+  const std::string missing = testutil::temp_path("_nonexistent");
   EXPECT_THROW(MappedFile map(missing), std::runtime_error);
 
-  const std::string empty = ::testing::TempDir() + "/eio_v3_empty";
+  const std::string empty = testutil::temp_path("_empty");
   { std::ofstream out(empty, std::ios::binary); }
   EXPECT_THROW(MappedFile map(empty), std::runtime_error);
   // The sniffer also refuses a zero-length trace outright.
@@ -371,7 +392,7 @@ TEST(TraceV3Test, MappedFileRejectsEmptyAndMissingFiles) {
 
 TEST(TraceV3Test, MappedFileContentsMatchStreamRead) {
   Trace t = sample_trace(20);
-  const std::string path = ::testing::TempDir() + "/eio_v3_map.bin";
+  const std::string path = testutil::temp_path(".v3");
   t.save_binary_v3(path);
   std::string bytes = v3_bytes(t);
   MappedFile map(path);
@@ -382,25 +403,26 @@ TEST(TraceV3Test, MappedFileContentsMatchStreamRead) {
 
 TEST(TraceV3Test, FileTraceSourceUsesZeroCopyForV3) {
   Trace t = sample_trace(40);
-  const std::string v2 = ::testing::TempDir() + "/eio_v3_src_v2.bin";
-  const std::string v3 = ::testing::TempDir() + "/eio_v3_src_v3.bin";
-  t.save_binary_v2(v2);
+  const std::string tsv = testutil::temp_path(".tsv");
+  const std::string v3 = testutil::temp_path(".v3");
+  t.save(tsv);
   t.save_binary_v3(v3);
 
-  FileTraceSource v2_source(v2);
+  FileTraceSource tsv_source(tsv);
   FileTraceSource v3_source(v3);
-  EXPECT_EQ(v2_source.format(), TraceFormat::kBinaryV2);
+  EXPECT_EQ(tsv_source.format(), TraceFormat::kTsv);
   EXPECT_EQ(v3_source.format(), TraceFormat::kBinaryV3);
-  EXPECT_FALSE(v2_source.zero_copy());  // mmap is a v3-only path
+  EXPECT_FALSE(tsv_source.zero_copy());  // mmap is a v3-only path
   EXPECT_EQ(v3_source.zero_copy(), MappedFile::mmap_supported());
 
   // Both formats replay the identical event sequence.
-  std::vector<double> v2_starts, v3_starts;
-  v2_source.for_each([&](const TraceEvent& e) { v2_starts.push_back(e.start); });
+  std::vector<double> tsv_starts, v3_starts;
+  tsv_source.for_each(
+      [&](const TraceEvent& e) { tsv_starts.push_back(e.start); });
   v3_source.for_each([&](const TraceEvent& e) { v3_starts.push_back(e.start); });
-  EXPECT_EQ(v3_starts, v2_starts);
-  EXPECT_EQ(v3_source.event_count(), v2_source.event_count());
-  std::remove(v2.c_str());
+  EXPECT_EQ(v3_starts, tsv_starts);
+  EXPECT_EQ(v3_source.event_count(), tsv_source.event_count());
+  std::remove(tsv.c_str());
   std::remove(v3.c_str());
 }
 
@@ -410,7 +432,7 @@ TEST(TraceV3Test, HintedScanSkipsNonMatchingChunks) {
     t.add(make_event(i, 0.5, posix::OpType::kWrite,
                      static_cast<RankId>(i % 4), 64, i < 8 ? 1 : 2));
   }
-  std::string path = ::testing::TempDir() + "/eio_v3_hint.bin";
+  std::string path = testutil::temp_path(".v3");
   {
     std::ofstream file(path, std::ios::binary);
     TraceWriterV3 writer(file, t.experiment(), t.ranks(),

@@ -17,6 +17,7 @@
 
 #include "cli/eiotrace.h"
 #include "obs/export.h"
+#include "temp_path.h"
 
 namespace eio::obs {
 namespace {
@@ -87,7 +88,7 @@ std::string counters_section(const std::string& json) {
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/obs_test";
+    dir_ = testutil::temp_path();
     std::filesystem::create_directories(dir_);
   }
 
@@ -107,16 +108,16 @@ class ObsTest : public ::testing::Test {
     return {rc, out.str(), err.str()};
   }
 
-  /// Simulate a tiny ensemble and convert run 0 to indexed binary v2,
+  /// Simulate a tiny ensemble and convert run 0 to indexed binary v3,
   /// so summary exercises the chunk-parallel scanner.
-  std::string make_v2_trace() {
+  std::string make_v3_trace() {
     auto [rc, out, err] = run({"simulate", "--runs=2", "--tasks=16",
                                "--block-mib=4", "--save-dir=" + dir_});
     EXPECT_EQ(rc, 0) << err;
-    std::string v2 = dir_ + "/run0.v2";
-    auto [rc2, out2, err2] = run({"convert", dir_ + "/run0.tsv", v2});
+    std::string v3 = dir_ + "/run0.v3";
+    auto [rc2, out2, err2] = run({"convert", dir_ + "/run0.tsv", v3});
     EXPECT_EQ(rc2, 0) << err2;
-    return v2;
+    return v3;
   }
 
   std::string dir_;
@@ -163,6 +164,25 @@ TEST_F(ObsTest, RegistryCountsAndTimesAcrossSnapshots) {
   EXPECT_GE(outer.t_end, inner.t_end);
 }
 
+TEST_F(ObsTest, SingleSampleQuantilesEqualTheSample) {
+  // Latency quantiles come from log-binned histograms; a lone sample
+  // sits somewhere inside its bin, so the raw bin centre can land above
+  // max (or below min). Every reported quantile must stay in range.
+  Registry::instance().reset();
+  set_enabled(true);
+  { OBS_SPAN("test.single"); }
+  set_enabled(false);
+
+  Snapshot snap = Registry::instance().snapshot();
+  ASSERT_EQ(snap.latency.size(), 1u);
+  const LatencySummary& s = snap.latency[0];
+  EXPECT_EQ(s.moments.count, 1u);
+  EXPECT_EQ(s.min_s, s.max_s);
+  EXPECT_EQ(s.p50_s, s.max_s);
+  EXPECT_EQ(s.p95_s, s.max_s);
+  EXPECT_EQ(s.p99_s, s.max_s);
+}
+
 TEST_F(ObsTest, ChromeTraceIsBalancedAndMonotonicPerThread) {
   std::string trace = dir_ + "/sim_trace.json";
   auto [rc, out, err] =
@@ -205,10 +225,10 @@ TEST_F(ObsTest, ChromeTraceIsBalancedAndMonotonicPerThread) {
 }
 
 TEST_F(ObsTest, ScannerPhasesAppearInChromeTrace) {
-  std::string v2 = make_v2_trace();
+  std::string v3 = make_v3_trace();
   std::string trace = dir_ + "/scan_trace.json";
   auto [rc, out, err] =
-      run({"summary", v2, "--jobs=2", "--chrome-trace", trace});
+      run({"summary", v3, "--jobs=2", "--chrome-trace", trace});
   ASSERT_EQ(rc, 0) << err;
 
   std::set<std::string> names;
@@ -217,15 +237,15 @@ TEST_F(ObsTest, ScannerPhasesAppearInChromeTrace) {
   }
   EXPECT_TRUE(names.count("scan.scan"));
   EXPECT_TRUE(names.count("scan.fold_chunk"));
-  EXPECT_TRUE(names.count("v2.decode_chunk"));
+  EXPECT_TRUE(names.count("v3.decode_chunk"));
 }
 
 TEST_F(ObsTest, MetricsCountersAreIdenticalAcrossJobs) {
-  std::string v2 = make_v2_trace();
+  std::string v3 = make_v3_trace();
   std::vector<std::string> sections;
   for (const char* jobs : {"--jobs=1", "--jobs=2", "--jobs=4"}) {
     std::string metrics = dir_ + "/metrics_" + (jobs + 7) + ".json";
-    auto [rc, out, err] = run({"summary", v2, jobs, "--metrics", metrics});
+    auto [rc, out, err] = run({"summary", v3, jobs, "--metrics", metrics});
     ASSERT_EQ(rc, 0) << err;
     std::string json = read_file(metrics);
     EXPECT_NE(json.find("\"schema_version\""), std::string::npos);
@@ -237,7 +257,7 @@ TEST_F(ObsTest, MetricsCountersAreIdenticalAcrossJobs) {
   EXPECT_EQ(sections[0], sections[2]) << "counters differ between jobs 1 and 4";
   // The scanner counters must actually be present, not vacuously equal.
   EXPECT_NE(sections[0].find("scan.chunks_scanned"), std::string::npos);
-  EXPECT_NE(sections[0].find("v2.events_decoded"), std::string::npos);
+  EXPECT_NE(sections[0].find("v3.events_decoded"), std::string::npos);
 }
 
 TEST_F(ObsTest, MetricsTsvAndVersionCommand) {
