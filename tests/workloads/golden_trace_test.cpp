@@ -15,6 +15,7 @@
 // and re-recorded in the same commit.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -46,21 +47,52 @@ std::string scenario_path(const char* name) {
 }
 
 struct GoldenCase {
-  const char* label;
+  const char* label;        ///< points into kLabels; see below
   const char* scenario;     ///< examples/scenarios file, or nullptr
   std::uint64_t run0_hash;
   std::uint64_t run1_hash;
 };
 
+// gtest prints a GoldenCase as a raw byte dump, and gtest_discover_tests
+// copies that dump into each ctest name, so the low byte of `label` (the
+// first byte printed) is part of the test's name. A string literal's
+// address moves whenever unrelated code changes the binary's layout, so the
+// labels live at fixed offsets in a 256-byte-aligned table instead: that
+// byte, and with it the leading part of every name, stays put.
+struct LabelTable {
+  alignas(256) char bytes[256] = {};
+  constexpr void put(std::size_t at, const char* s) {
+    for (std::size_t i = 0; s[i] != '\0'; ++i) bytes[at + i] = s[i];
+  }
+};
+
+constexpr std::size_t kIorAt = 0x3E;
+constexpr std::size_t kMadbenchAt = 0x56;
+constexpr std::size_t kSlowOstAt = 0x7B;
+constexpr std::size_t kStragglerAt = 0x9A;
+constexpr std::size_t kGcrmAt = 0xBB;
+
+constexpr LabelTable make_labels() {
+  LabelTable t;
+  t.put(kIorAt, "ior");
+  t.put(kMadbenchAt, "madbench");
+  t.put(kSlowOstAt, "slow_ost_faulted");
+  t.put(kStragglerAt, "straggler_faulted");
+  t.put(kGcrmAt, "gcrm");
+  return t;
+}
+
+constexpr LabelTable kLabels = make_labels();
+
 // Recorded from the canonical-order pre-refactor engine; see file
 // comment. Regenerate by running with --gtest_also_run_disabled_tests
-// and copying the printed values (PrintActualHashes below).
+// and copying the printed hashes (PrintActualHashes below).
 constexpr GoldenCase kCases[] = {
-    {"ior", "fig1_ior_modes.json", 0x5f7b1f20dd30972bULL, 0x3ace713fa9f419d1ULL},
-    {"madbench", "fig4_madbench_franklin.json", 0xdf2c3577c3095828ULL, 0x9e22cc99743572c1ULL},
-    {"slow_ost_faulted", "slow_ost.json", 0xa15a46220e9f7edeULL, 0xaba2b076da3362c4ULL},
-    {"straggler_faulted", "straggler.json", 0x7b0159b512da500eULL, 0x7ff378bfee1b4846ULL},
-    {"gcrm", nullptr, 0xd8b4743706bd18b3ULL, 0xdaf598a71b50f6d6ULL},
+    {kLabels.bytes + kIorAt, "fig1_ior_modes.json", 0x5f7b1f20dd30972bULL, 0x3ace713fa9f419d1ULL},
+    {kLabels.bytes + kMadbenchAt, "fig4_madbench_franklin.json", 0xdf2c3577c3095828ULL, 0x9e22cc99743572c1ULL},
+    {kLabels.bytes + kSlowOstAt, "slow_ost.json", 0xa15a46220e9f7edeULL, 0xaba2b076da3362c4ULL},
+    {kLabels.bytes + kStragglerAt, "straggler.json", 0x7b0159b512da500eULL, 0x7ff378bfee1b4846ULL},
+    {kLabels.bytes + kGcrmAt, nullptr, 0xd8b4743706bd18b3ULL, 0xdaf598a71b50f6d6ULL},
 };
 
 /// GCRM at the integration-test scale (the full fig6 scenario takes a
