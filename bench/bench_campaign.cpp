@@ -7,7 +7,6 @@
 // /proc/self/exe with argv[1] = "campaign-worker", and main() routes
 // that straight into the CLI library — the same path the installed
 // eiotrace binary takes.
-#include <sys/utsname.h>
 
 #include <chrono>
 #include <cstdio>
@@ -77,20 +76,51 @@ int main(int argc, char** argv) {
   // The sweep: a grid over seed x tasks x ensemble size on an inline
   // IOR base, expanded identically by every worker-count row.
   const int seeds = quick ? 4 : 8;
-  std::ostringstream manifest;
-  manifest << "{\n  \"schema_version\": 1,\n  \"name\": \"bench\",\n"
-           << "  \"base\": {\n"
-           << "    \"schema_version\": 1,\n    \"name\": \"bench-base\",\n"
-           << "    \"machine\": \"franklin\",\n    \"runs\": 1,\n"
-           << "    \"workload\": {\"kind\": \"ior\", \"tasks\": 32,"
-              " \"block_mib\": 64, \"segments\": 2}\n  },\n"
-           << "  \"sweep\": {\n    \"mode\": \"grid\",\n    \"axes\": {\n"
-           << "      \"seed\": [";
-  for (int s = 1; s <= seeds; ++s) manifest << (s > 1 ? ", " : "") << s;
-  manifest << "],\n      \"workload.tasks\": [16, 32],\n"
-           << "      \"runs\": [1, 2]\n    }\n  }\n}\n";
   const std::string manifest_path = (work / "sweep.json").string();
-  std::ofstream(manifest_path) << manifest.str();
+  {
+    std::ofstream manifest(manifest_path);
+    eio::json::Writer w(manifest);
+    w.begin_object()
+        .kv("schema_version", 1)
+        .kv("name", "bench")
+        .key("base")
+        .begin_object()
+        .kv("schema_version", 1)
+        .kv("name", "bench-base")
+        .kv("machine", "franklin")
+        .kv("runs", 1)
+        .key("workload")
+        .begin_object()
+        .kv("kind", "ior")
+        .kv("tasks", 32)
+        .kv("block_mib", 64)
+        .kv("segments", 2)
+        .end_object()
+        .end_object()
+        .key("sweep")
+        .begin_object()
+        .kv("mode", "grid")
+        .key("axes")
+        .begin_object()
+        .key("seed")
+        .begin_array();
+    for (int s = 1; s <= seeds; ++s) w.value(s);
+    w.end_array()
+        .key("workload.tasks")
+        .begin_array()
+        .value(16)
+        .value(32)
+        .end_array()
+        .key("runs")
+        .begin_array()
+        .value(1)
+        .value(2)
+        .end_array()
+        .end_object()
+        .end_object()
+        .end_object();
+    manifest << '\n';
+  }
   const std::size_t run_count = static_cast<std::size_t>(seeds) * 2 * 2;
 
   const std::size_t hw = std::thread::hardware_concurrency();
@@ -139,31 +169,22 @@ int main(int argc, char** argv) {
   std::printf("  consolidated stores byte-identical across worker counts: "
               "%s\n", identical ? "yes" : "NO");
 
-  utsname uts{};
-  uname(&uts);
-  std::ofstream json("BENCH_campaign.json");
-  json << "{\n";
-  eio::bench::write_provenance(json);
-  json << "  \"benchmark\": \"bench_campaign\",\n"
-       << "  \"sweep_runs\": " << run_count << ",\n"
-       << "  \"hardware_concurrency\": " << hw << ",\n";
-  eio::bench::write_scaling_note(json, worker_counts.back());
-  json << "  \"stores_byte_identical\": " << (identical ? "true" : "false")
-       << ",\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    json << "    {\n      \"workers\": " << r.workers << ",\n"
-         << "      \"seconds\": " << r.seconds << ",\n"
-         << "      \"runs_per_sec\": "
-         << static_cast<double>(run_count) / r.seconds << ",\n"
-         << "      \"meaningful\": "
-         << (r.workers == 1 || !eio::bench::cores_scarce(r.workers)
-                 ? "true" : "false")
-         << "\n    }" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n  \"machine\": \"" << uts.sysname << " " << uts.release
-       << " " << uts.machine << "\"\n}\n";
-  std::printf("[json] BENCH_campaign.json written\n");
+  eio::bench::write_bench_json(
+      "BENCH_campaign.json", "bench_campaign", [&](eio::json::Writer& w) {
+        w.kv("sweep_runs", run_count).kv("hardware_concurrency", hw);
+        eio::bench::write_scaling_note(w, worker_counts.back());
+        w.kv("stores_byte_identical", identical).key("rows").begin_array();
+        for (const Row& r : rows) {
+          w.begin_object()
+              .kv("workers", r.workers)
+              .kv("seconds", r.seconds)
+              .kv("runs_per_sec", static_cast<double>(run_count) / r.seconds)
+              .kv("meaningful",
+                  r.workers == 1 || !eio::bench::cores_scarce(r.workers))
+              .end_object();
+        }
+        w.end_array();
+      });
 
   fs::remove_all(work);
   eio::bench::finish_obs(obs);

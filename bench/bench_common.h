@@ -6,14 +6,18 @@
 // series for external plotting.
 #pragma once
 
+#include <sys/utsname.h>
+
 #include <cstdio>
 #include <cstdlib>
-#include <ostream>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/json_writer.h"
 #include "common/units.h"
 #include "core/ascii_chart.h"
 #include "core/csv.h"
@@ -55,17 +59,35 @@ inline std::size_t jobs_flag(int argc, char** argv) {
   return 0;
 }
 
-/// The standard provenance header every BENCH_*.json embeds: report
-/// schema version, generation timestamp, and the same build block the
+/// Write the BENCH_*.json artifact `path` as one json::Writer
+/// document: the provenance every bench file opens with (report schema
+/// version, generation timestamp, and the same build block the
 /// eiotrace metrics report carries — so a bench number is always
-/// traceable to the commit and flags that produced it. Emits trailing
-/// ",\n"; call first inside the object.
-inline void write_provenance(std::ostream& json) {
-  json << "  \"schema_version\": " << obs::kMetricsSchemaVersion << ",\n"
-       << "  \"generated_at\": \"" << obs::iso8601_utc_now() << "\",\n"
-       << "  \"build\": ";
-  obs::write_build_info_json(json, "  ");
-  json << ",\n";
+/// traceable to the commit and flags that produced it), then
+/// "benchmark", then the keys `body(w)` writes, then the host's
+/// "machine" string.
+template <typename Body>
+inline void write_bench_json(const std::string& path,
+                             std::string_view benchmark, Body&& body) {
+  std::ofstream file(path);
+  json::Writer w(file);
+  w.begin_object()
+      .kv("schema_version", obs::kMetricsSchemaVersion)
+      .kv("generated_at", obs::iso8601_utc_now())
+      .key("build");
+  obs::write_build_info_json(w);
+  w.kv("benchmark", benchmark);
+  body(w);
+  utsname uts{};
+  uname(&uts);
+  std::string machine = uts.sysname;
+  machine += ' ';
+  machine += uts.release;
+  machine += ' ';
+  machine += uts.machine;
+  w.kv("machine", machine).end_object();
+  file << '\n';
+  std::printf("[json] %s written\n", path.c_str());
 }
 
 /// True when the host cannot actually run `jobs` workers at once, so a
@@ -79,22 +101,23 @@ inline void write_provenance(std::ostream& json) {
 /// The structured honest-scaling annotation every BENCH_*.json with
 /// parallel rows embeds: how many cores the host granted, the largest
 /// job count benchmarked, and whether speedup claims are valid at all.
-/// Emits `"scaling_note": {...},\n`; call inside the top-level object.
-inline void write_scaling_note(std::ostream& json, std::size_t max_jobs) {
+/// Writes the "scaling_note" key and its object.
+inline void write_scaling_note(json::Writer& w, std::size_t max_jobs) {
   const auto cores =
       static_cast<std::size_t>(std::thread::hardware_concurrency());
   const bool scarce = cores <= max_jobs;
-  json << "  \"scaling_note\": {\n"
-       << "    \"hardware_concurrency\": " << cores << ",\n"
-       << "    \"max_jobs\": " << max_jobs << ",\n"
-       << "    \"cores_scarce\": " << (scarce ? "true" : "false") << ",\n"
-       << "    \"note\": \""
-       << (scarce ? "cores scarce (hardware_concurrency <= max benchmarked "
-                    "jobs): parallel rows measure oversubscription, not "
-                    "scaling; speedup claims are suppressed"
-                  : "hardware_concurrency exceeds every benchmarked job "
-                    "count: parallel rows are valid scaling data")
-       << "\"\n  },\n";
+  w.key("scaling_note")
+      .begin_object()
+      .kv("hardware_concurrency", cores)
+      .kv("max_jobs", max_jobs)
+      .kv("cores_scarce", scarce)
+      .kv("note",
+          scarce ? "cores scarce (hardware_concurrency <= max benchmarked "
+                   "jobs): parallel rows measure oversubscription, not "
+                   "scaling; speedup claims are suppressed"
+                 : "hardware_concurrency exceeds every benchmarked job "
+                   "count: parallel rows are valid scaling data")
+      .end_object();
 }
 
 /// Self-observability flags shared with the eiotrace CLI

@@ -11,11 +11,9 @@
 // The bench also times a 16-run ensemble serially (--jobs 1) and with
 // the parallel runner, and writes BENCH_ensemble.json with both
 // throughputs so the speedup is recorded alongside the machine shape.
-#include <sys/utsname.h>
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <thread>
 #include <vector>
 
@@ -148,29 +146,21 @@ int main(int argc, char** argv) {
                 jobs, hw);
   }
 
-  utsname uts{};
-  uname(&uts);
-  std::ofstream json("BENCH_ensemble.json");
-  json << "{\n";
-  bench::write_provenance(json);
-  json << "  \"benchmark\": \"ensemble_stability\",\n"
-       << "  \"runs\": " << bench_runs << ",\n"
-       << "  \"tasks_per_run\": " << small.tasks << ",\n"
-       << "  \"serial_seconds\": " << serial_s << ",\n"
-       << "  \"parallel_seconds\": " << parallel_s << ",\n"
-       << "  \"serial_runs_per_sec\": " << serial_rps << ",\n"
-       << "  \"parallel_runs_per_sec\": " << parallel_rps << ",\n"
-       << "  \"speedup\": " << serial_s / parallel_s << ",\n"
-       << "  \"jobs\": " << jobs << ",\n"
-       << "  \"hardware_concurrency\": " << hw << ",\n"
-       << "  \"speedup_meaningful\": " << (meaningful ? "true" : "false")
-       << ",\n";
-  bench::write_scaling_note(json, jobs);
-  json << "  \"worst_pairwise_ks\": " << worst << ",\n"
-       << "  \"machine\": \"" << uts.sysname << " " << uts.release << " "
-       << uts.machine << "\"\n"
-       << "}\n";
-  std::printf("  [json] BENCH_ensemble.json written\n");
+  bench::write_bench_json(
+      "BENCH_ensemble.json", "ensemble_stability", [&](json::Writer& w) {
+        w.kv("runs", bench_runs)
+            .kv("tasks_per_run", small.tasks)
+            .kv("serial_seconds", serial_s)
+            .kv("parallel_seconds", parallel_s)
+            .kv("serial_runs_per_sec", serial_rps)
+            .kv("parallel_runs_per_sec", parallel_rps)
+            .kv("speedup", serial_s / parallel_s)
+            .kv("jobs", jobs)
+            .kv("hardware_concurrency", hw)
+            .kv("speedup_meaningful", meaningful);
+        bench::write_scaling_note(w, jobs);
+        w.kv("worst_pairwise_ks", worst);
+      });
   bench::finish_obs(obs);
   return 0;
 }

@@ -30,7 +30,6 @@
 // footprint. Parallel speedups are only observable when the host
 // grants more than one CPU; hardware_concurrency is recorded in the
 // JSON so the numbers are interpretable.
-#include <sys/utsname.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -199,7 +198,7 @@ PathResult run_batched_columns(const std::string& path, std::size_t events) {
   analysis::SummarySink summary(kWrites);
   source.for_each_columns_hinted(
       hint, summary.required_columns(),
-      [&summary](const ipm::ColumnBatch& b) { summary.on_columns(b); });
+      [&summary](const ipm::ColumnBatch& b) { summary.add_batch(b); });
   const stats::StreamingSummary& s = summary.summary();
   if (s.empty()) std::abort();
 
@@ -566,50 +565,44 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  utsname uts{};
-  uname(&uts);
-  std::ofstream json("BENCH_analysis.json");
-  json << "{\n";
-  eio::bench::write_provenance(json);
-  json << "  \"benchmark\": \"micro_analysis\",\n"
-       << "  \"note\": \"each row measured in a forked child, so "
-          "peak_rss_kib is per-path VmHWM, not a shared high-water mark; "
-          "rows with meaningful=false ran with scarce cores "
-          "(hardware_concurrency <= jobs) and say nothing about scaling; "
-          "every trace row reads a v3 file; batched_v3 runs the full "
-          "summary+histogram+rates bundle as three serial columnar "
-          "passes (per-event statistics dominate), while rank_bytes_v3 "
-          "runs a two-column selective pass where the decode cost "
-          "itself is the workload; fused_v3 rows run the bundle as one "
-          "chunk-parallel KernelSet scan; monitor_overhead rows run the "
-          "fused bundle with the online health monitor as a fourth "
-          "kernel and an all-chunks hint, so (fused_v3_jN - "
-          "monitor_overhead_jN) / fused_v3_jN is the monitor's relative "
-          "cost; kernel_* rows time the statistics kernels alone on an "
-          "in-memory stream with no decode\",\n"
-       << "  \"hardware_concurrency\": " << cores << ",\n";
-  eio::bench::write_scaling_note(json, job_counts.back());
-  json << "  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    json << "    {\n"
-         << "      \"events\": " << r.events << ",\n"
-         << "      \"path\": \"" << r.path_name << "\",\n"
-         << "      \"events_per_sec\": " << r.result.events_per_sec << ",\n"
-         << "      \"seconds\": " << r.result.seconds << ",\n"
-         << "      \"peak_rss_kib\": " << r.result.peak_rss_kib << ",\n"
-         << "      \"meaningful\": " << (r.meaningful ? "true" : "false");
-    if (!r.meaningful) {
-      json << ",\n      \"annotation\": \"cores scarce "
-              "(hardware_concurrency <= jobs): not scaling data\"";
-    }
-    json << "\n    }" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n"
-       << "  \"machine\": \"" << uts.sysname << " " << uts.release << " "
-       << uts.machine << "\"\n"
-       << "}\n";
-  std::printf("[json] BENCH_analysis.json written\n");
+  eio::bench::write_bench_json(
+      "BENCH_analysis.json", "micro_analysis", [&](eio::json::Writer& w) {
+        w.kv("note",
+             "each row measured in a forked child, so "
+             "peak_rss_kib is per-path VmHWM, not a shared high-water mark; "
+             "rows with meaningful=false ran with scarce cores "
+             "(hardware_concurrency <= jobs) and say nothing about scaling; "
+             "every trace row reads a v3 file; batched_v3 runs the full "
+             "summary+histogram+rates bundle as three serial columnar "
+             "passes (per-event statistics dominate), while rank_bytes_v3 "
+             "runs a two-column selective pass where the decode cost "
+             "itself is the workload; fused_v3 rows run the bundle as one "
+             "chunk-parallel KernelSet scan; monitor_overhead rows run the "
+             "fused bundle with the online health monitor as a fourth "
+             "kernel and an all-chunks hint, so (fused_v3_jN - "
+             "monitor_overhead_jN) / fused_v3_jN is the monitor's relative "
+             "cost; kernel_* rows time the statistics kernels alone on an "
+             "in-memory stream with no decode");
+        w.kv("hardware_concurrency", cores);
+        eio::bench::write_scaling_note(w, job_counts.back());
+        w.key("rows").begin_array();
+        for (const Row& r : rows) {
+          w.begin_object()
+              .kv("events", r.events)
+              .kv("path", r.path_name)
+              .kv("events_per_sec", r.result.events_per_sec)
+              .kv("seconds", r.result.seconds)
+              .kv("peak_rss_kib", r.result.peak_rss_kib)
+              .kv("meaningful", r.meaningful);
+          if (!r.meaningful) {
+            w.kv("annotation",
+                 "cores scarce (hardware_concurrency <= jobs): not scaling "
+                 "data");
+          }
+          w.end_object();
+        }
+        w.end_array();
+      });
   eio::bench::finish_obs(obs);
   return 0;
 }

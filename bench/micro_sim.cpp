@@ -26,7 +26,6 @@
 // inherit earlier footprints). BENCH_sim.json carries build
 // provenance, hardware_concurrency, and the measured
 // churn_speedup_vs_legacy headline.
-#include <sys/utsname.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -375,39 +374,33 @@ int main(int argc, char** argv) {
   RowResult scenario = measure([&] { return run_scenario_ior(scenario_runs); });
   emit("scenario_ior", "runs", scenario);
 
-  utsname uts{};
-  uname(&uts);
-  std::ofstream json("BENCH_sim.json");
-  json << "{\n";
-  eio::bench::write_provenance(json);
-  json << "  \"benchmark\": \"micro_sim\",\n"
-       << "  \"note\": \"each row measured in a forked child, so "
-          "peak_rss_kib is per-row VmHWM; engine rows count calendar "
-          "operations (schedules + cancels + executed events for churn, "
-          "executed events for schedule_run), flow rows count completed "
-          "flows, scenario_ior counts whole simulated runs; *_legacy "
-          "rows drive an in-bench copy of the pre-overhaul calendar "
-          "(std::function actions + unordered_map live table) over "
-          "identical traffic, and churn_speedup_vs_legacy is the "
-          "current/legacy ratio of the churn rows\",\n"
-       << "  \"hardware_concurrency\": " << cores << ",\n"
-       << "  \"churn_speedup_vs_legacy\": " << churn_speedup << ",\n"
-       << "  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    json << "    {\n"
-         << "      \"row\": \"" << r.name << "\",\n"
-         << "      \"unit\": \"" << r.unit << "\",\n"
-         << "      \"ops_per_sec\": " << r.result.ops_per_sec << ",\n"
-         << "      \"seconds\": " << r.result.seconds << ",\n"
-         << "      \"peak_rss_kib\": " << r.result.peak_rss_kib << "\n"
-         << "    }" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n"
-       << "  \"machine\": \"" << uts.sysname << " " << uts.release << " "
-       << uts.machine << "\"\n"
-       << "}\n";
-  std::printf("[json] BENCH_sim.json written\n");
+  eio::bench::write_bench_json(
+      "BENCH_sim.json", "micro_sim", [&](eio::json::Writer& w) {
+        w.kv("note",
+             "each row measured in a forked child, so "
+             "peak_rss_kib is per-row VmHWM; engine rows count calendar "
+             "operations (schedules + cancels + executed events for churn, "
+             "executed events for schedule_run), flow rows count completed "
+             "flows, scenario_ior counts whole simulated runs; *_legacy "
+             "rows drive an in-bench copy of the pre-overhaul calendar "
+             "(std::function actions + unordered_map live table) over "
+             "identical traffic, and churn_speedup_vs_legacy is the "
+             "current/legacy ratio of the churn rows");
+        w.kv("hardware_concurrency", cores)
+            .kv("churn_speedup_vs_legacy", churn_speedup)
+            .key("rows")
+            .begin_array();
+        for (const Row& r : rows) {
+          w.begin_object()
+              .kv("row", r.name)
+              .kv("unit", r.unit)
+              .kv("ops_per_sec", r.result.ops_per_sec)
+              .kv("seconds", r.result.seconds)
+              .kv("peak_rss_kib", r.result.peak_rss_kib)
+              .end_object();
+        }
+        w.end_array();
+      });
   eio::bench::finish_obs(obs);
   return 0;
 }

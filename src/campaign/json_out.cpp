@@ -58,29 +58,12 @@ void write_rates(json::Writer& w, const analysis::TimeSeries& series) {
   w.end_array().end_object();
 }
 
-void write_incident(json::Writer& w, const monitor::Incident& inc,
-                    std::uint64_t run) {
-  w.begin_object()
-      .kv("run", run)
-      .kv("kind", monitor::incident_name(inc.kind))
-      .kv("subject", inc.subject)
-      .kv("onset_event", inc.onset_event)
-      .kv("clear_event", inc.clear_event)
-      .kv("onset_time", inc.onset_time)
-      .kv("clear_time", inc.clear_time)
-      .kv("severity", inc.severity)
-      .kv("statistic", inc.statistic)
-      .kv("threshold", inc.threshold)
-      .kv("evidence", inc.evidence)
-      .end_object();
-}
-
 void write_incidents(json::Writer& w,
                      const std::vector<monitor::Incident>& incidents,
                      const std::vector<std::uint64_t>& runs) {
   w.begin_array();
   for (std::size_t i = 0; i < incidents.size(); ++i) {
-    write_incident(w, incidents[i], runs.empty() ? 0 : runs[i]);
+    monitor::write_incident(w, incidents[i], runs.empty() ? 0 : runs[i]);
   }
   w.end_array();
 }

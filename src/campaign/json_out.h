@@ -43,14 +43,9 @@ void write_histogram(json::Writer& w, const stats::Histogram& h);
 /// A rate series as {t0,dt,values:[...]} (values in bytes/s).
 void write_rates(json::Writer& w, const analysis::TimeSeries& series);
 
-/// One incident object; the key order mirrors the monitor's JSONL
-/// incident-log lines (run,kind,subject,onset_event,clear_event,
-/// onset_time,clear_time,severity,statistic,threshold,evidence).
-void write_incident(json::Writer& w, const monitor::Incident& inc,
-                    std::uint64_t run);
-
-/// Incidents as an array, paired with a parallel run-id vector (empty
-/// = all run 0).
+/// Incidents as an array of monitor::write_incident() objects — the
+/// same bytes as the incident log's lines — paired with a parallel
+/// run-id vector (empty = all run 0).
 void write_incidents(json::Writer& w,
                      const std::vector<monitor::Incident>& incidents,
                      const std::vector<std::uint64_t>& runs);

@@ -117,13 +117,7 @@ int write_incident_log(const Parsed& args,
     err << "eiotrace: cannot write " << path << "\n";
     return 1;
   }
-  if (runs.empty()) {
-    monitor::write_incidents_jsonl(f, incidents);
-  } else {
-    for (std::size_t i = 0; i < incidents.size(); ++i) {
-      monitor::write_incidents_jsonl(f, {incidents[i]}, runs[i]);
-    }
-  }
+  monitor::write_incidents_jsonl(f, incidents, runs);
   out << "wrote " << path << " (" << incidents.size() << " incidents)\n";
   return 0;
 }

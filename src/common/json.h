@@ -1,11 +1,12 @@
-// A minimal JSON reader for scenario files.
+// The JSON reader: json::Value and json::parse.
 //
-// The repo writes JSON in several places (metrics, BENCH_*.json,
-// Chrome traces) but until the declarative scenario format it never
-// had to read any. This is a small recursive-descent parser covering
-// the whole of RFC 8259: objects, arrays, strings (including \uXXXX
-// escapes and surrogate pairs, decoded to UTF-8), numbers, booleans,
-// null.
+// This is the reading half of the repo's JSON support — scenario
+// files, sweep manifests, campaign plans and store records. Every
+// output is written by json::Writer (common/json_writer.h), which can
+// also re-serialize a parsed Value. The parser is a small recursive-
+// descent one covering the whole of RFC 8259: objects, arrays, strings
+// (including \uXXXX escapes and surrogate pairs, decoded to UTF-8),
+// numbers, booleans, null.
 // Errors throw std::runtime_error with a line/column prefix so a typo
 // in a scenario file points at itself.
 #pragma once

@@ -1,18 +1,21 @@
-// Deterministic JSON emission.
+// Deterministic JSON emission — the repo's one JSON writer.
 //
-// The machine-readable output contract (CLI --json, the campaign
-// store's JSONL records, the fleet report) pins three properties so
-// consumers — and the byte-for-byte campaign determinism tests — can
-// rely on the exact bytes:
+// Every JSON and JSONL output goes through json::Writer: the CLI
+// --json documents, the campaign store's JSONL records and the fleet
+// report, incident logs, obs metrics reports and Chrome traces, fault
+// plans, and the BENCH_*.json files. The contract pins three
+// properties so consumers — and the byte-for-byte determinism tests —
+// can rely on the exact bytes:
 //
 //   1. fixed key order: keys appear in the order the writer emits
 //      them, never sorted behind the caller's back;
-//   2. floats as %.9g: enough digits to round-trip the statistics the
-//      repo reports, few enough to stay stable across printing paths;
+//   2. floats as %.9g, non-finite values as null;
 //   3. integers as decimal integers (no exponent, no trailing ".0").
 //
-// json::Writer is a small streaming emitter with automatic comma
-// placement; json::write() re-serializes a parsed json::Value (object
+// Output is always compact. A caller that wants line structure (the
+// Chrome trace's one event per line) writes '\n' to the stream
+// between elements; JSON allows whitespace there. json::write()
+// re-serializes a parsed json::Value through the same Writer (object
 // keys come out in json::Object's sorted order, which is itself
 // deterministic) so scenario documents survive a parse → patch →
 // serialize round trip with reproducible bytes.
@@ -172,45 +175,43 @@ class Writer {
   bool pending_value_ = false;
 };
 
-/// Serialize a parsed Value compactly and deterministically: object
-/// keys in json::Object's (sorted) iteration order, integral doubles
-/// as integers so scenario parameters (tasks, seeds, run counts)
-/// round-trip as the integers they are, all other numbers as %.9g.
-inline void write(std::ostream& out, const Value& v) {
+/// Serialize a parsed Value into `w` (as one value: after a key, as
+/// an array element, or at top level): object keys in json::Object's
+/// (sorted) iteration order, integral doubles as integers so scenario
+/// parameters (tasks, seeds, run counts) round-trip as the integers
+/// they are, all other numbers as %.9g.
+inline void write(Writer& w, const Value& v) {
   if (v.is_null()) {
-    out << "null";
+    w.null();
   } else if (v.is_bool()) {
-    out << (v.as_bool() ? "true" : "false");
+    w.value(v.as_bool());
   } else if (v.is_number()) {
     double d = v.as_number();
     if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 9.007199254740992e15) {
-      out << static_cast<long long>(d);
+      w.value(static_cast<std::int64_t>(d));
     } else {
-      write_double(out, d);
+      w.value(d);
     }
   } else if (v.is_string()) {
-    write_escaped(out, v.as_string());
+    w.value(v.as_string());
   } else if (v.is_array()) {
-    out << '[';
-    bool first = true;
-    for (const Value& e : v.as_array()) {
-      if (!first) out << ',';
-      first = false;
-      write(out, e);
-    }
-    out << ']';
+    w.begin_array();
+    for (const Value& e : v.as_array()) write(w, e);
+    w.end_array();
   } else {
-    out << '{';
-    bool first = true;
+    w.begin_object();
     for (const auto& [key, val] : v.as_object()) {
-      if (!first) out << ',';
-      first = false;
-      write_escaped(out, key);
-      out << ':';
-      write(out, val);
+      w.key(key);
+      write(w, val);
     }
-    out << '}';
+    w.end_object();
   }
+}
+
+/// write() a whole document to a stream.
+inline void write(std::ostream& out, const Value& v) {
+  Writer w(out);
+  write(w, v);
 }
 
 /// write() to a string.

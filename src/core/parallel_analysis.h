@@ -7,9 +7,10 @@
 // --jobs value — and match the serial streaming path exactly wherever
 // the underlying kernel merges exactly (counts, extrema, histogram
 // bins, rate bins, reservoirs below capacity). Moments match to
-// FP-merge rounding; quantiles past reservoir capacity are served by
-// the merged-exact histogram mode (see
-// StreamingSummary::histogram_quantile).
+// FP-merge rounding; quantiles past reservoir capacity are sampled
+// estimates from the merged reservoirs — still identical for every
+// --jobs value (see chunk_summary_options), but not bit-equal to the
+// serial path's sample.
 #pragma once
 
 #include <cstddef>

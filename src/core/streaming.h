@@ -7,8 +7,6 @@
 //
 //  * StreamingMoments: mean/variance/skewness/kurtosis via the
 //    Welford/Pébay incremental central-moment updates;
-//  * P2Quantile: the Jain-Chlamtac P² estimator — one quantile in
-//    five markers, O(1) memory, no samples retained;
 //  * ReservoirSampler: Vitter's Algorithm X — a uniform sample of
 //    bounded size, *exact* (every value retained) until the capacity
 //    is exceeded, so quantiles/CDFs/KS inputs computed from it are
@@ -25,15 +23,12 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/distribution.h"
-#include "core/histogram.h"
 
 namespace eio::stats {
 
@@ -83,28 +78,6 @@ class StreamingMoments {
   double m2_ = 0.0;
   double m3_ = 0.0;
   double m4_ = 0.0;
-};
-
-/// P² single-quantile estimator (Jain & Chlamtac 1985): five markers
-/// track the target quantile with parabolic adjustment. Exact for the
-/// first five observations, O(1) memory forever after.
-class P2Quantile {
- public:
-  explicit P2Quantile(double q);
-
-  void add(double x);
-
-  [[nodiscard]] std::size_t count() const noexcept { return count_; }
-  /// Current estimate (exact while count() <= 5; requires count() >= 1).
-  [[nodiscard]] double value() const;
-
- private:
-  double q_;
-  std::size_t count_ = 0;
-  std::array<double, 5> heights_{};    ///< marker values
-  std::array<double, 5> positions_{};  ///< actual marker positions (1-based)
-  std::array<double, 5> desired_{};    ///< desired marker positions
-  std::array<double, 5> rates_{};      ///< desired-position increments
 };
 
 /// Uniform bounded-size sample of a stream (Vitter's Algorithm X with
@@ -253,16 +226,6 @@ class ReservoirSampler {
 struct SummaryOptions {
   std::size_t reservoir_capacity = ReservoirSampler::kDefaultCapacity;
   std::uint64_t reservoir_seed = 0x9E3779B97F4A7C15ULL;
-  /// When > 0, the summary also feeds a fixed-range log10 histogram
-  /// and histogram_quantile() becomes available — the merged-quantile
-  /// mode for parallel scans, where reservoirs past capacity merge
-  /// stochastically but histogram bins merge exactly. Error is bounded
-  /// by the width of the bin holding the requested order statistic.
-  std::size_t quantile_bins = 0;
-  /// Fixed histogram range (seconds); samples outside clamp to the
-  /// edge bins. The defaults cover 1 ns .. ~28 h per event.
-  double quantile_hist_lo = 1e-9;
-  double quantile_hist_hi = 1e5;
 };
 
 /// The standard per-stream bundle: count, extrema, incremental
@@ -272,12 +235,7 @@ class StreamingSummary {
  public:
   StreamingSummary() : StreamingSummary(SummaryOptions{}) {}
   explicit StreamingSummary(const SummaryOptions& options)
-      : reservoir_(options.reservoir_capacity, options.reservoir_seed) {
-    if (options.quantile_bins > 0) {
-      quantile_hist_.emplace(BinScale::kLog10, options.quantile_hist_lo,
-                             options.quantile_hist_hi, options.quantile_bins);
-    }
-  }
+      : reservoir_(options.reservoir_capacity, options.reservoir_seed) {}
 
   void add(double x) {
     if (moments_.count() == 0) {
@@ -289,7 +247,6 @@ class StreamingSummary {
     }
     moments_.add(x);
     reservoir_.add(x);
-    if (quantile_hist_) quantile_hist_->add(x);
   }
 
   /// Fold a dense sample span (a decoded column) in index order —
@@ -313,11 +270,10 @@ class StreamingSummary {
     }
     moments_.add_batch(xs);
     reservoir_.add_batch(xs);
-    if (quantile_hist_) quantile_hist_->add_all(xs);
   }
 
-  /// Fold another summary into this one: counts/extrema/moments and
-  /// the quantile histogram merge exactly; the reservoir merges per
+  /// Fold another summary into this one: counts/extrema/moments
+  /// merge exactly; the reservoir merges per
   /// ReservoirSampler::merge (exact below capacity). Partials must be
   /// merged in stream order for reservoir exactness to carry over.
   void merge(const StreamingSummary& other);
@@ -334,22 +290,9 @@ class StreamingSummary {
   [[nodiscard]] double quantile(double q) const;
   [[nodiscard]] double median() const { return quantile(0.5); }
 
-  /// The fixed-range quantile histogram (present iff quantile_bins > 0).
-  [[nodiscard]] const std::optional<Histogram>& quantile_histogram()
-      const noexcept {
-    return quantile_hist_;
-  }
-  /// Quantile from the histogram: the center of the bin holding the
-  /// rank-⌈qN⌉ sample, so |estimate - exact order statistic| is at
-  /// most that bin's width (bins merge exactly, so this is the
-  /// merge-stable quantile past reservoir capacity). Requires
-  /// quantile_bins > 0 and a non-empty stream.
-  [[nodiscard]] double histogram_quantile(double q) const;
-
  private:
   StreamingMoments moments_;
   ReservoirSampler reservoir_;
-  std::optional<Histogram> quantile_hist_;
   double min_ = 0.0;
   double max_ = 0.0;
 };

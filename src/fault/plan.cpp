@@ -1,8 +1,9 @@
 #include "fault/plan.h"
 
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
+
+#include "common/json_writer.h"
 
 namespace eio::fault {
 
@@ -34,18 +35,6 @@ void reject_unknown_keys(const json::Object& o,
                              ".probability must be in [0, 1]");
   }
   return p;
-}
-
-void write_number(std::ostream& os, double v) {
-  // Round-trip integers without a trailing ".0"-less mismatch surprise.
-  if (v == std::floor(v) && std::abs(v) < 1e15) {
-    os << static_cast<long long>(v);
-  } else {
-    std::ostringstream tmp;
-    tmp.precision(17);
-    tmp << v;
-    os << tmp.str();
-  }
 }
 
 }  // namespace
@@ -130,73 +119,49 @@ Plan plan_from_json(const json::Value& v) {
   return plan;
 }
 
-std::string plan_to_json(const Plan& plan, const std::string& indent) {
+std::string plan_to_json(const Plan& plan) {
   std::ostringstream os;
-  const std::string in1 = indent + "  ";
-  const std::string in2 = indent + "    ";
-  os << "{";
-  bool first = true;
-  auto clause = [&](const char* name) {
-    os << (first ? "\n" : ",\n") << in1 << '"' << name << "\": ";
-    first = false;
-  };
-
+  json::Writer w(os);
+  w.begin_object();
   if (!plan.slow_osts.empty()) {
-    clause("slow_osts");
-    os << "[";
-    for (std::size_t i = 0; i < plan.slow_osts.size(); ++i) {
-      const SlowOst& s = plan.slow_osts[i];
-      os << (i == 0 ? "\n" : ",\n") << in2 << "{\"ost\": " << s.ost
-         << ", \"factor\": ";
-      write_number(os, s.factor);
-      os << ", \"from\": ";
-      write_number(os, s.from);
-      if (s.until < kForever) {
-        os << ", \"until\": ";
-        write_number(os, s.until);
-      }
-      os << "}";
+    w.key("slow_osts").begin_array();
+    for (const SlowOst& s : plan.slow_osts) {
+      w.begin_object().kv("ost", s.ost).kv("factor", s.factor).kv("from", s.from);
+      if (s.until < kForever) w.kv("until", s.until);
+      w.end_object();
     }
-    os << "\n" << in1 << "]";
+    w.end_array();
   }
   if (plan.jitter.probability > 0.0) {
-    clause("jitter");
-    os << "{\"probability\": ";
-    write_number(os, plan.jitter.probability);
-    os << ", \"mean_stall\": ";
-    write_number(os, plan.jitter.mean_stall);
-    os << ", \"reads\": " << (plan.jitter.reads ? "true" : "false")
-       << ", \"writes\": " << (plan.jitter.writes ? "true" : "false") << "}";
+    w.key("jitter")
+        .begin_object()
+        .kv("probability", plan.jitter.probability)
+        .kv("mean_stall", plan.jitter.mean_stall)
+        .kv("reads", plan.jitter.reads)
+        .kv("writes", plan.jitter.writes)
+        .end_object();
   }
   if (plan.transient.probability > 0.0) {
-    clause("transient");
-    os << "{\"probability\": ";
-    write_number(os, plan.transient.probability);
-    os << ", \"max_retries\": " << plan.transient.max_retries
-       << ", \"timeout\": ";
-    write_number(os, plan.transient.timeout);
-    os << ", \"backoff\": ";
-    write_number(os, plan.transient.backoff);
-    os << "}";
+    w.key("transient")
+        .begin_object()
+        .kv("probability", plan.transient.probability)
+        .kv("max_retries", plan.transient.max_retries)
+        .kv("timeout", plan.transient.timeout)
+        .kv("backoff", plan.transient.backoff)
+        .end_object();
   }
   if (plan.stragglers.count > 0 || !plan.stragglers.ranks.empty()) {
-    clause("stragglers");
-    os << "{";
+    w.key("stragglers").begin_object();
     if (!plan.stragglers.ranks.empty()) {
-      os << "\"ranks\": [";
-      for (std::size_t i = 0; i < plan.stragglers.ranks.size(); ++i) {
-        os << (i == 0 ? "" : ", ") << plan.stragglers.ranks[i];
-      }
-      os << "], ";
+      w.key("ranks").begin_array();
+      for (RankId r : plan.stragglers.ranks) w.value(r);
+      w.end_array();
     } else {
-      os << "\"count\": " << plan.stragglers.count << ", ";
+      w.kv("count", plan.stragglers.count);
     }
-    os << "\"slowdown\": ";
-    write_number(os, plan.stragglers.slowdown);
-    os << "}";
+    w.kv("slowdown", plan.stragglers.slowdown).end_object();
   }
-  if (first) return "{}";
-  os << "\n" << indent << "}";
+  w.end_object();
   return os.str();
 }
 

@@ -87,9 +87,9 @@ struct Plan {
 /// rejected (a typo'd clause must not silently produce a healthy run).
 [[nodiscard]] Plan plan_from_json(const json::Value& v);
 
-/// Serialize a plan as a JSON object (the inverse of plan_from_json).
-[[nodiscard]] std::string plan_to_json(const Plan& plan,
-                                       const std::string& indent = "");
+/// Serialize a plan as one compact JSON object (the inverse of
+/// plan_from_json); clauses at their defaults are omitted.
+[[nodiscard]] std::string plan_to_json(const Plan& plan);
 
 /// The kinds of injected events a run reports.
 enum class Kind : std::uint8_t {

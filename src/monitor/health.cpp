@@ -7,6 +7,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/json_writer.h"
 #include "core/ks.h"
 #include "fault/plan.h"
 #include "obs/registry.h"
@@ -14,14 +15,6 @@
 
 namespace eio::monitor {
 namespace {
-
-/// %.9g matches the binary formats' value fidelity: two streams that
-/// carry the same doubles serialize to the same bytes.
-void append_double(std::string& s, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  s += buf;
-}
 
 [[nodiscard]] std::string fmt(double v, const char* spec = "%.6g") {
   char buf[40];
@@ -87,6 +80,11 @@ void HealthKernel::add_batch(const ipm::ColumnBatch& b) {
   // so rejected rows (the common case on mixed traces) never
   // materialize a row view. Same admission + indexing as add().
   const Bytes admit = options_.admission_bytes();
+  // One allocation per batch instead of a doubling chain: the chain's
+  // freed blocks pile up at the heap top, and whether malloc then trims
+  // and page-faults the heap back in every chunk hinges on unrelated
+  // object sizes.
+  if (!rooted_) buffered_.reserve(buffered_.size() + b.size());
   for (std::size_t i = 0; i < b.size(); ++i) {
     const auto op = static_cast<posix::OpType>(b.op[i]);
     const bool interesting =
@@ -488,41 +486,29 @@ void HealthKernel::finish() {
   }
 }
 
+void write_incident(json::Writer& w, const Incident& inc, std::uint64_t run) {
+  w.begin_object()
+      .kv("run", run)
+      .kv("kind", incident_name(inc.kind))
+      .kv("subject", inc.subject)
+      .kv("onset_event", inc.onset_event)
+      .kv("clear_event", inc.clear_event)
+      .kv("onset_time", inc.onset_time)
+      .kv("clear_time", inc.clear_time)
+      .kv("severity", inc.severity)
+      .kv("statistic", inc.statistic)
+      .kv("threshold", inc.threshold)
+      .kv("evidence", inc.evidence)
+      .end_object();
+}
+
 void write_incidents_jsonl(std::ostream& out,
                            const std::vector<Incident>& incidents,
-                           std::uint64_t run) {
-  std::string line;
-  for (const Incident& inc : incidents) {
-    line.clear();
-    line += "{\"run\":";
-    line += std::to_string(run);
-    line += ",\"kind\":\"";
-    line += incident_name(inc.kind);
-    line += "\",\"subject\":";
-    line += std::to_string(inc.subject);
-    line += ",\"onset_event\":";
-    line += std::to_string(inc.onset_event);
-    line += ",\"clear_event\":";
-    line += std::to_string(inc.clear_event);
-    line += ",\"onset_time\":";
-    append_double(line, inc.onset_time);
-    line += ",\"clear_time\":";
-    append_double(line, inc.clear_time);
-    line += ",\"severity\":";
-    append_double(line, inc.severity);
-    line += ",\"statistic\":";
-    append_double(line, inc.statistic);
-    line += ",\"threshold\":";
-    append_double(line, inc.threshold);
-    line += ",\"evidence\":\"";
-    for (char c : inc.evidence) {
-      // Evidence strings are ASCII by construction; escape the two
-      // JSON-significant characters anyway.
-      if (c == '"' || c == '\\') line += '\\';
-      line += c;
-    }
-    line += "\"}\n";
-    out << line;
+                           const std::vector<std::uint64_t>& runs) {
+  json::Writer w(out);  // top level: no separators between lines
+  for (std::size_t i = 0; i < incidents.size(); ++i) {
+    write_incident(w, incidents[i], runs.empty() ? 0 : runs[i]);
+    out << '\n';
   }
 }
 

@@ -52,6 +52,10 @@
 #include "ipm/sink.h"
 #include "ipm/trace.h"
 
+namespace eio::json {
+class Writer;
+}  // namespace eio::json
+
 namespace eio::monitor {
 
 /// Detector identities (the statistical three + the injected-marker
@@ -297,12 +301,19 @@ class HealthSink final : public ipm::EventSink {
   HealthKernel kernel_;
 };
 
-/// Serialize incidents as JSONL (one object per line, fixed key order,
-/// %.9g doubles): deterministic given deterministic incidents. `run`
-/// tags each line for multi-run ensembles.
+/// One incident as a JSON object, keys in the fixed order run, kind,
+/// subject, onset_event, clear_event, onset_time, clear_time,
+/// severity, statistic, threshold, evidence. The incident log and the
+/// --json / campaign-record incident arrays all write this object.
+void write_incident(json::Writer& w, const Incident& inc, std::uint64_t run);
+
+/// Serialize incidents as JSONL, one write_incident() object per line:
+/// deterministic given deterministic incidents. `runs` is parallel to
+/// `incidents` and tags each line for multi-run ensembles (empty = all
+/// run 0).
 void write_incidents_jsonl(std::ostream& out,
                            const std::vector<Incident>& incidents,
-                           std::uint64_t run = 0);
+                           const std::vector<std::uint64_t>& runs = {});
 
 /// Human-readable incident table (the `eiotrace monitor` output).
 void print_incident_table(std::ostream& out,

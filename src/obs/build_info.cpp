@@ -1,8 +1,8 @@
 #include "obs/build_info.h"
 
-#include <cstdio>
 #include <ctime>
-#include <ostream>
+
+#include "common/json_writer.h"
 
 namespace eio::obs {
 
@@ -34,28 +34,6 @@ std::string compiler_string() {
 #endif
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 const BuildInfo& build_info() {
@@ -71,18 +49,16 @@ const BuildInfo& build_info() {
   return info;
 }
 
-void write_build_info_json(std::ostream& out, const std::string& indent) {
+void write_build_info_json(json::Writer& w) {
   const BuildInfo& b = build_info();
-  out << "{\n"
-      << indent << "  \"version\": \"" << json_escape(b.version) << "\",\n"
-      << indent << "  \"git_sha\": \"" << json_escape(b.git_sha) << "\",\n"
-      << indent << "  \"compiler\": \"" << json_escape(b.compiler) << "\",\n"
-      << indent << "  \"flags\": \"" << json_escape(b.flags) << "\",\n"
-      << indent << "  \"build_type\": \"" << json_escape(b.build_type)
-      << "\",\n"
-      << indent << "  \"obs_compiled_in\": "
-      << (b.obs_compiled_in ? "true" : "false") << "\n"
-      << indent << "}";
+  w.begin_object()
+      .kv("version", b.version)
+      .kv("git_sha", b.git_sha)
+      .kv("compiler", b.compiler)
+      .kv("flags", b.flags)
+      .kv("build_type", b.build_type)
+      .kv("obs_compiled_in", b.obs_compiled_in)
+      .end_object();
 }
 
 std::string iso8601_utc_now() {

@@ -8,8 +8,11 @@
 // "unknown" when built outside the repo.
 #pragma once
 
-#include <iosfwd>
 #include <string>
+
+namespace eio::json {
+class Writer;
+}  // namespace eio::json
 
 namespace eio::obs {
 
@@ -25,9 +28,8 @@ struct BuildInfo {
 /// The process's build provenance (computed once).
 [[nodiscard]] const BuildInfo& build_info();
 
-/// Emit the provenance as a JSON object, each line prefixed with
-/// `indent` (no trailing newline after the closing brace).
-void write_build_info_json(std::ostream& out, const std::string& indent);
+/// Emit the provenance as one JSON object value.
+void write_build_info_json(json::Writer& w);
 
 /// Current wall-clock time as ISO-8601 UTC ("2026-08-05T12:34:56Z").
 [[nodiscard]] std::string iso8601_utc_now();

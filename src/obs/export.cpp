@@ -6,30 +6,15 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "common/json_writer.h"
 #include "obs/build_info.h"
 
 namespace eio::obs {
 
 namespace {
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
-
-/// Fixed-format double with enough precision for microsecond
-/// timestamps; never scientific (Chrome's JSON parser accepts it, but
-/// fixed keeps diffs and greps sane).
-std::string fixed(double v, int digits = 3) {
+/// Fixed-format double for the TSV and text outputs.
+std::string fixed(double v, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", digits, v);
   return buf;
@@ -61,9 +46,22 @@ void write_chrome_trace(std::ostream& out, const std::vector<NamedSpan>& spans,
   }
   std::sort(tids.begin(), tids.end());
 
-  out << "{\"traceEvents\":[\n";
-  out << "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
-         "\"args\":{\"name\":\"ensembleio\"}}";
+  // One event object per line: the newline after each element is
+  // whitespace to JSON and keeps the file greppable.
+  json::Writer w(out);
+  w.begin_object().key("traceEvents").begin_array();
+  out << '\n';
+  w.begin_object()
+      .kv("ph", "M")
+      .kv("pid", 1)
+      .kv("tid", 0)
+      .kv("name", "process_name")
+      .key("args")
+      .begin_object()
+      .kv("name", "ensembleio")
+      .end_object()
+      .end_object();
+  out << '\n';
   for (std::uint32_t tid : tids) {
     std::vector<Indexed> mine;
     for (std::size_t i = 0; i < spans.size(); ++i) {
@@ -74,11 +72,16 @@ void write_chrome_trace(std::ostream& out, const std::vector<NamedSpan>& spans,
       if (a.s->depth != b.s->depth) return a.s->depth < b.s->depth;
       return a.seq < b.seq;
     });
-    auto emit = [&out, tid](const char* ph, const std::string& name,
-                            double ts_s) {
-      out << ",\n{\"ph\":\"" << ph << "\",\"pid\":1,\"tid\":" << tid
-          << ",\"ts\":" << fixed(ts_s * 1e6) << ",\"name\":\"" << escape(name)
-          << "\"}";
+    auto emit = [&w, &out, tid](const char* ph, const std::string& name,
+                                double ts_s) {
+      w.begin_object()
+          .kv("ph", ph)
+          .kv("pid", 1)
+          .kv("tid", tid)
+          .kv("ts", ts_s * 1e6)
+          .kv("name", name)
+          .end_object();
+      out << '\n';
     };
     std::vector<const NamedSpan*> stack;
     for (const Indexed& it : mine) {
@@ -97,13 +100,25 @@ void write_chrome_trace(std::ostream& out, const std::vector<NamedSpan>& spans,
   // Instant events (ph:"i") — points on the timeline next to the
   // spans; thread scope keeps Perfetto from drawing full-height bars.
   for (const NamedInstant& i : instants) {
-    out << ",\n{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":" << i.tid
-        << ",\"ts\":" << fixed(i.t * 1e6) << ",\"name\":\"" << escape(i.name)
-        << "\"}";
+    w.begin_object()
+        .kv("ph", "i")
+        .kv("s", "t")
+        .kv("pid", 1)
+        .kv("tid", i.tid)
+        .kv("ts", i.t * 1e6)
+        .kv("name", i.name)
+        .end_object();
+    out << '\n';
   }
-  out << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"tool\":"
-         "\"ensembleio\",\"git_sha\":\""
-      << escape(build_info().git_sha) << "\"}}\n";
+  w.end_array()
+      .kv("displayTimeUnit", "ms")
+      .key("otherData")
+      .begin_object()
+      .kv("tool", "ensembleio")
+      .kv("git_sha", build_info().git_sha)
+      .end_object()
+      .end_object();
+  out << '\n';
 }
 
 void write_chrome_trace(std::ostream& out) {
@@ -112,41 +127,36 @@ void write_chrome_trace(std::ostream& out) {
 }
 
 void write_metrics_json(std::ostream& out, const Snapshot& snap) {
-  out << "{\n";
-  out << "  \"schema_version\": " << kMetricsSchemaVersion << ",\n";
-  out << "  \"generated_at\": \"" << iso8601_utc_now() << "\",\n";
-  out << "  \"build\": ";
-  write_build_info_json(out, "  ");
-  out << ",\n";
-  out << "  \"counters\": {";
-  for (std::size_t i = 0; i < snap.counters.size(); ++i) {
-    out << (i ? "," : "") << "\n    \"" << escape(snap.counters[i].name)
-        << "\": " << snap.counters[i].value;
+  json::Writer w(out);
+  w.begin_object()
+      .kv("schema_version", kMetricsSchemaVersion)
+      .kv("generated_at", iso8601_utc_now())
+      .key("build");
+  write_build_info_json(w);
+  w.key("counters").begin_object();
+  for (const CounterValue& c : snap.counters) w.kv(c.name, c.value);
+  w.end_object().key("gauges").begin_object();
+  for (const GaugeValue& g : snap.gauges) w.kv(g.name, g.value);
+  w.end_object()
+      .kv("spans_recorded", snap.spans_recorded)
+      .kv("spans_dropped", snap.spans_dropped)
+      .key("spans")
+      .begin_object();
+  for (const LatencySummary& s : snap.latency) {
+    w.key(s.name)
+        .begin_object()
+        .kv("count", s.moments.count)
+        .kv("total_s", s.total_s)
+        .kv("mean_s", s.moments.mean)
+        .kv("min_s", s.min_s)
+        .kv("p50_s", s.p50_s)
+        .kv("p95_s", s.p95_s)
+        .kv("p99_s", s.p99_s)
+        .kv("max_s", s.max_s)
+        .end_object();
   }
-  out << (snap.counters.empty() ? "" : "\n  ") << "},\n";
-  out << "  \"gauges\": {";
-  for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
-    out << (i ? "," : "") << "\n    \"" << escape(snap.gauges[i].name)
-        << "\": " << snap.gauges[i].value;
-  }
-  out << (snap.gauges.empty() ? "" : "\n  ") << "},\n";
-  out << "  \"spans_recorded\": " << snap.spans_recorded << ",\n";
-  out << "  \"spans_dropped\": " << snap.spans_dropped << ",\n";
-  out << "  \"spans\": {";
-  for (std::size_t i = 0; i < snap.latency.size(); ++i) {
-    const LatencySummary& s = snap.latency[i];
-    out << (i ? "," : "") << "\n    \"" << escape(s.name) << "\": {"
-        << "\"count\": " << s.moments.count
-        << ", \"total_s\": " << fixed(s.total_s, 6)
-        << ", \"mean_s\": " << fixed(s.moments.mean, 9)
-        << ", \"min_s\": " << fixed(s.min_s, 9)
-        << ", \"p50_s\": " << fixed(s.p50_s, 9)
-        << ", \"p95_s\": " << fixed(s.p95_s, 9)
-        << ", \"p99_s\": " << fixed(s.p99_s, 9)
-        << ", \"max_s\": " << fixed(s.max_s, 9) << "}";
-  }
-  out << (snap.latency.empty() ? "" : "\n  ") << "}\n";
-  out << "}\n";
+  w.end_object().end_object();
+  out << '\n';
 }
 
 void write_metrics_tsv(std::ostream& out, const Snapshot& snap) {

@@ -4,7 +4,9 @@
 // The Chrome trace loads directly in Perfetto (ui.perfetto.dev) or
 // chrome://tracing: one process, one track per registry thread id,
 // balanced B/E duration events reconstructed from the recorded span
-// intervals. The metrics report has a deliberately layered layout:
+// intervals. Both JSON outputs go through json::Writer (compact, %.9g
+// floats); the trace keeps one event object per line. The metrics
+// report has a deliberately layered layout (shown indented here):
 //
 //   {
 //     "schema_version": 1,

@@ -27,8 +27,7 @@ stats::Histogram make_latency_histogram() {
 }
 
 /// Quantile from exact histogram bins: center of the bin holding the
-/// rank-ceil(q*N) sample (same convention as
-/// stats::StreamingSummary::histogram_quantile).
+/// rank-ceil(q*N) sample.
 double histogram_quantile(const stats::Histogram& h, std::size_t n, double q) {
   if (n == 0) return 0.0;
   auto rank = static_cast<std::uint64_t>(

@@ -305,7 +305,7 @@ std::string plan_to_jsonl(const RunPlan& plan) {
       .kv("source", plan.source)
       .kv("label", plan.label)
       .key("scenario");
-  json::write(out, plan.scenario);
+  json::write(w, plan.scenario);
   w.end_object();
   return out.str();
 }

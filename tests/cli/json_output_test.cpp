@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -169,6 +170,52 @@ TEST_F(JsonOutputTest, AnalyzeJsonKeepsNoMatchExit) {
   EXPECT_EQ(rc, 2);
   EXPECT_EQ(out, "");
   EXPECT_NE(err.find("no events match"), std::string::npos);
+}
+
+TEST_F(JsonOutputTest, IncidentLogLinesMatchJsonIncidentArray) {
+  // One incident object, two outputs: every --incidents JSONL line is
+  // byte-identical to its element of stdout's monitor.incidents array.
+  const std::string scen =
+      std::string(EIO_SOURCE_DIR) + "/examples/scenarios/slow_ost.json";
+  const std::string dir = testutil::temp_path();
+  std::filesystem::create_directories(dir);
+  auto [rc, out, err] =
+      run({"simulate", "--scenario=" + scen, "--runs=1", "--save-dir=" + dir});
+  ASSERT_EQ(rc, 0) << err;
+  const std::string log = dir + "/incidents.jsonl";
+  auto [rc2, doc_text, err2] = run({"analyze", dir + "/run0.tsv", "--json",
+                                    "--monitor", "--incidents=" + log});
+  ASSERT_EQ(rc2, 0) << err2;
+
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(log, std::ios::binary);
+    ASSERT_TRUE(in.good()) << "missing " << log;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  const json::Value doc = json::parse(doc_text);
+  const json::Array& incidents = doc.at("monitor").at("incidents").as_array();
+  ASSERT_GE(incidents.size(), 1u) << "slow-OST trace opened no incidents";
+  ASSERT_EQ(lines.size(), incidents.size());
+
+  // The array's bytes are the log's lines, comma-joined, in order.
+  const std::string needle = "\"incidents\":[";
+  const auto monitor_at = doc_text.find("\"monitor\":");
+  ASSERT_NE(monitor_at, std::string::npos);
+  auto pos = doc_text.find(needle, monitor_at);
+  ASSERT_NE(pos, std::string::npos);
+  pos += needle.size();
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(doc_text.compare(pos, lines[i].size(), lines[i]), 0)
+        << "incident " << i << " differs:\n  log:  " << lines[i]
+        << "\n  json: " << doc_text.substr(pos, lines[i].size());
+    pos += lines[i].size();
+    EXPECT_EQ(doc_text[pos], i + 1 < lines.size() ? ',' : ']');
+    ++pos;
+    EXPECT_EQ(json::parse(lines[i]).at("kind").as_string(),
+              incidents[i].at("kind").as_string());
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // --- registry-driven usage covers the campaign commands ------------

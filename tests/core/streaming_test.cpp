@@ -190,20 +190,6 @@ TEST(StreamingEquivalenceTest, QuantilesMatchEmpiricalDistribution) {
   }
 }
 
-TEST(StreamingEquivalenceTest, P2TracksTrueQuantileClosely) {
-  // P² is the O(1) estimator for beyond-reservoir scale; on the seed
-  // traces it must land near the exact quantile (not exactly on it).
-  for (const ipm::Trace& t : seed_traces()) {
-    auto d = durations(t, {});
-    stats::EmpiricalDistribution dist(d);
-    stats::P2Quantile p50(0.5);
-    for (double x : d) p50.add(x);
-    double spread = dist.quantile(0.9) - dist.quantile(0.1);
-    EXPECT_NEAR(p50.value(), dist.median(), 0.25 * spread + 1e-12)
-        << t.experiment();
-  }
-}
-
 TEST(StreamingEquivalenceTest, PhaseSummariesMatchDurationsByPhase) {
   for (const ipm::Trace& t : seed_traces()) {
     auto batch = durations_by_phase(t, {});
@@ -519,67 +505,6 @@ TEST(MergeKernelsTest, RateSeriesMergeMatchesSingleBuilder) {
       EXPECT_NEAR(b.values[i], a.values[i],
                   1e-9 * std::max(std::abs(a.values[i]), 1.0))
           << t.experiment() << " bin " << i;
-    }
-  }
-}
-
-TEST(MergeKernelsTest, HistogramQuantileWithinOneBinOfExact) {
-  // The merged-quantile mode: the histogram estimate must land within
-  // the width of the bin holding the exact order statistic.
-  for (const ipm::Trace& t : seed_traces()) {
-    auto d = durations(t, {});
-    stats::SummaryOptions opt;
-    opt.quantile_bins = 256;
-    stats::StreamingSummary serial(opt);
-    for (double x : d) serial.add(x);
-    ASSERT_TRUE(serial.quantile_histogram().has_value());
-    const stats::Histogram& h = *serial.quantile_histogram();
-    EXPECT_EQ(h.total(), d.size());
-
-    std::vector<double> sorted = d;
-    std::sort(sorted.begin(), sorted.end());
-    for (double q : {0.05, 0.25, 0.5, 0.75, 0.95, 0.99}) {
-      auto rank = static_cast<std::size_t>(
-          std::ceil(q * static_cast<double>(sorted.size())));
-      if (rank == 0) rank = 1;
-      const double exact = sorted[rank - 1];
-      const double estimate = serial.histogram_quantile(q);
-      const double bound = h.bin_width(h.bin_index(exact));
-      EXPECT_NEAR(estimate, exact, bound)
-          << t.experiment() << " q=" << q;
-    }
-  }
-}
-
-TEST(MergeKernelsTest, HistogramQuantileIsMergeStable) {
-  // Unlike reservoir quantiles, histogram quantiles survive chunked
-  // merging bit-identically: bins are integers and merge exactly.
-  for (const ipm::Trace& t : seed_traces()) {
-    auto d = durations(t, {});
-    stats::SummaryOptions opt;
-    opt.quantile_bins = 256;
-    stats::StreamingSummary serial(opt);
-    for (double x : d) serial.add(x);
-
-    stats::StreamingSummary merged(opt);
-    const std::size_t chunk = 97;  // deliberately not a divisor
-    for (std::size_t i = 0; i < d.size(); i += chunk) {
-      stats::SummaryOptions part_opt = opt;
-      part_opt.reservoir_seed =
-          rng::substream_seed(opt.reservoir_seed, i / chunk);
-      stats::StreamingSummary part(part_opt);
-      for (std::size_t j = i; j < std::min(i + chunk, d.size()); ++j) {
-        part.add(d[j]);
-      }
-      merged.merge(part);
-    }
-    ASSERT_EQ(merged.quantile_histogram()->counts(),
-              serial.quantile_histogram()->counts())
-        << t.experiment();
-    for (double q : {0.05, 0.5, 0.95}) {
-      EXPECT_DOUBLE_EQ(merged.histogram_quantile(q),
-                       serial.histogram_quantile(q))
-          << t.experiment() << " q=" << q;
     }
   }
 }

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -270,20 +271,27 @@ TEST(TraceTest, FileTraceSourceReportsMetaForAllFormats) {
   std::remove(v3.c_str());
 }
 
+/// Counts what it is fed: a stand-in for any consumer that rides
+/// beside the trace on the capture side.
+class CountingSink final : public EventSink {
+ public:
+  void on_event(const TraceEvent&) override { ++calls; }
+  void finish() override { ++finishes; }
+  std::size_t calls = 0;
+  std::size_t finishes = 0;
+};
+
 TEST(TraceTest, SinksComposeOnTheCaptureSide) {
   Trace captured("sink", 2);
-  TraceSink trace_sink(captured);
-  std::size_t calls = 0;
-  FunctionSink counter([&calls](const TraceEvent&) { ++calls; });
+  auto counter = std::make_shared<CountingSink>();
+  FanoutSink fanout({std::make_shared<TraceSink>(captured), counter});
   for (int i = 0; i < 5; ++i) {
-    TraceEvent e = make_event(i, 0.5, posix::OpType::kWrite, 0, 128);
-    trace_sink.on_event(e);
-    counter.on_event(e);
+    fanout.on_event(make_event(i, 0.5, posix::OpType::kWrite, 0, 128));
   }
-  trace_sink.finish();
-  counter.finish();
+  fanout.finish();
   EXPECT_EQ(captured.size(), 5u);
-  EXPECT_EQ(calls, 5u);
+  EXPECT_EQ(counter->calls, 5u);
+  EXPECT_EQ(counter->finishes, 1u);
 }
 
 }  // namespace

@@ -225,7 +225,7 @@ TEST(IncidentJsonlTest, FixedKeyOrderAndEscaping) {
   inc.threshold = 2.5;
   inc.evidence = "say \"hi\" \\ bye";
   std::ostringstream out;
-  write_incidents_jsonl(out, {inc}, 3);
+  write_incidents_jsonl(out, {inc}, {3});
   EXPECT_EQ(out.str(),
             "{\"run\":3,\"kind\":\"degraded-ost\",\"subject\":5,"
             "\"onset_event\":100,\"clear_event\":200,\"onset_time\":1.5,"
