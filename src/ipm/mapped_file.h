@@ -5,13 +5,13 @@
 // immutable mapping that any number of scanner workers walk
 // concurrently. MappedFile is that primitive — RAII over
 // open/fstat/mmap on POSIX platforms, with a heap-buffered fallback
-// (one up-front read of the whole file) where mmap is unavailable, so
-// callers never need a platform #if: bytes() is always the file's
-// contents.
+// (one up-front read of the whole file) where mmap is unavailable or
+// refuses the file, so callers never need a platform #if or a second
+// reader: bytes() is always the file's contents.
 //
 // Mapping a zero-length file throws std::runtime_error (it cannot be
 // any trace format, and mmap itself rejects length 0), as does any
-// open/map failure.
+// open or read failure.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +24,7 @@ namespace eio::ipm {
 class MappedFile {
  public:
   /// Map `path` read-only. Throws std::runtime_error when the file
-  /// cannot be opened, is empty, or the map fails.
+  /// cannot be opened, is empty, or cannot be read.
   explicit MappedFile(const std::string& path);
   ~MappedFile();
 
@@ -32,7 +32,7 @@ class MappedFile {
   MappedFile& operator=(const MappedFile&) = delete;
 
   /// True when this platform maps (false: the read-whole-file fallback
-  /// is in use — correct, just not zero-copy).
+  /// is always in use — correct, just not zero-copy).
   [[nodiscard]] static bool mmap_supported() noexcept;
 
   [[nodiscard]] std::span<const char> bytes() const noexcept {
@@ -42,6 +42,9 @@ class MappedFile {
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
  private:
+  /// The fallback: read the whole file into `fallback_`.
+  void read_into_heap(const std::string& path);
+
   const char* data_ = nullptr;
   std::size_t size_ = 0;
   std::vector<char> fallback_;  ///< owns the bytes when not mapped

@@ -10,12 +10,11 @@
 // folds each chunk into its own partial, and merges partials on the
 // calling thread in ascending chunk order.
 //
-// Decode: chunks are decoded straight out of one shared read-only mmap
-// of the file (every worker reads the same immutable pages — no locks,
-// no per-thread streams, no staging copies), falling back to
-// per-thread streams with single sized reads when the map is
-// unavailable. The fold receives decoded ColumnBatches with only the
-// masked columns materialized.
+// Decode: chunks are decoded straight out of one shared read-only
+// MappedFile (every worker reads the same immutable pages — no locks,
+// no staging copies) by per-thread ChunkReaders, the same decoder
+// every other v3 reader uses. The fold receives decoded ColumnBatches
+// with only the masked columns materialized.
 //
 // Determinism contract: the partial built for chunk c depends only on
 // chunk c (per-chunk reservoir seeds come from the chunk index), and
@@ -68,46 +67,6 @@ struct ScanOptions {
   std::size_t merge_window = 0;
 };
 
-/// Per-thread chunk decoder: borrows a shared read-only mapping (or,
-/// without one, owns a seekable stream plus a raw-bytes buffer) and a
-/// column scratch, so a worker's steady state allocates nothing.
-class ChunkReader {
- public:
-  /// `map` (may be null) must outlive the reader. `format` must be
-  /// kBinaryV3, the one indexed format.
-  ChunkReader(const std::string& path, TraceFormat format,
-              const MappedFile* map = nullptr)
-      : map_(map) {
-    EIO_CHECK(format == TraceFormat::kBinaryV3);
-    if (map_ == nullptr) {
-      in_.open(path, std::ios::binary);
-      EIO_CHECK_MSG(in_.good(), "cannot open for reading: " << path);
-    }
-  }
-
-  /// Decode one indexed chunk as a ColumnBatch with only the masked
-  /// columns materialized; spans stay valid until the next read.
-  [[nodiscard]] ColumnBatch read_columns(const TraceIndex& index,
-                                         std::size_t chunk, ColumnMask mask) {
-    const ChunkMeta& meta = index.chunks[chunk];
-    std::uint64_t byte_len = chunk_byte_length(index, chunk);
-    if (map_ != nullptr) {
-      // Zero-copy: the index validated offsets against the footer, and
-      // the footer against the file size, so this sub-span is in-bounds.
-      return decode_chunk_v3(map_->data() + meta.offset,
-                             static_cast<std::size_t>(byte_len), meta,
-                             scratch_, mask);
-    }
-    return read_chunk_v3(in_, meta, byte_len, raw_, scratch_, mask);
-  }
-
- private:
-  const MappedFile* map_;
-  std::ifstream in_;
-  std::vector<char> raw_;
-  ColumnScratch scratch_;
-};
-
 /// Map-reduce engine over one indexed (v3) trace file. Stateless
 /// between scans; safe to reuse and cheap to construct (the index is
 /// read once or borrowed from a FileTraceSource).
@@ -125,8 +84,8 @@ class ParallelTraceScanner {
       throw std::runtime_error(
           "parallel scan needs an indexed (v3) trace: " + path_);
     }
-    index_ = read_index_v3(in);
-    open_map();
+    map_ = std::make_unique<const MappedFile>(path_);
+    index_ = read_index_v3(map_->bytes());
   }
 
   /// Reuse an index already read by a FileTraceSource; `format` must be
@@ -136,16 +95,14 @@ class ParallelTraceScanner {
       : path_(std::move(path)),
         index_(std::move(index)),
         jobs_(resolve_jobs(options.jobs)),
-        merge_window_(resolve_window(options, jobs_)) {
+        merge_window_(resolve_window(options, jobs_)),
+        map_(std::make_unique<const MappedFile>(path_)) {
     EIO_CHECK(format == TraceFormat::kBinaryV3);
-    open_map();
   }
 
   [[nodiscard]] std::size_t jobs() const noexcept { return jobs_; }
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
   [[nodiscard]] const TraceIndex& index() const noexcept { return index_; }
-  /// True when chunks decode from a shared mmap (the zero-copy path).
-  [[nodiscard]] bool zero_copy() const noexcept { return map_ != nullptr; }
 
   /// Wall-clock span of the whole trace (max chunk end time) — free
   /// from the index, no event pass.
@@ -162,10 +119,9 @@ class ParallelTraceScanner {
   ///   merge(into, std::move(from))         (ascending chunk order)
   ///
   /// The fold receives each chunk decoded with only the `mask` columns
-  /// materialized; unmasked columns are never decoded (and with the
-  /// mmap path never copied). Returns the merged Partial; make(0) when
-  /// no chunk is admitted. The first worker exception is rethrown after
-  /// the pool drains.
+  /// materialized; unmasked columns are never decoded nor copied.
+  /// Returns the merged Partial; make(0) when no chunk is admitted. The
+  /// first worker exception is rethrown after the pool drains.
   template <typename Make, typename Fold, typename Merge>
   [[nodiscard]] auto scan_columns(const Make& make, const Fold& fold,
                                   const Merge& merge,
@@ -291,17 +247,6 @@ class ParallelTraceScanner {
   }
 
  private:
-  /// Map the file once; every worker decodes from the same read-only
-  /// pages. A failed map (file vanished between index and scan) is not
-  /// fatal — readers fall back to per-thread streams.
-  void open_map() {
-    try {
-      map_ = std::make_unique<MappedFile>(path_);
-    } catch (const std::runtime_error&) {
-      map_ = nullptr;
-    }
-  }
-
   [[nodiscard]] ChunkReader make_reader() const {
     return {path_, TraceFormat::kBinaryV3, map_.get()};
   }
@@ -325,6 +270,7 @@ class ParallelTraceScanner {
   TraceIndex index_;
   std::size_t jobs_;
   std::size_t merge_window_;
+  /// Mapped once; every worker's ChunkReader decodes from these pages.
   std::unique_ptr<const MappedFile> map_;
 };
 

@@ -76,8 +76,10 @@ class Trace {
   /// chunked, indexed, per-column delta/varint streams with optional
   /// RLE compression.
   void write_binary_v3(std::ostream& out) const;
-  /// Parse a stream produced by write_binary_v3(). Throws
-  /// std::runtime_error on truncated, corrupt or non-v3 input.
+  /// Parse a stream produced by write_binary_v3(): the rest of the
+  /// stream is read into a buffer and decoded by the v3 reader (see
+  /// trace_v3.h). Throws std::runtime_error on truncated, corrupt or
+  /// non-v3 input.
   [[nodiscard]] static Trace read_binary(std::istream& in);
 
   /// Convenience file-path wrappers. save()/load() use TSV;

@@ -90,15 +90,11 @@ FileTraceSource::FileTraceSource(std::string path) : path_(std::move(path)) {
   format_ = sniff_format(stream_);
   switch (format_) {
     case TraceFormat::kBinaryV3:
-      index_ = read_index_v3(stream_);
+      // Parsed from the mapped bytes: the index here, every chunk
+      // through the same reader on each pass.
+      reader_.emplace(path_, format_);
+      index_ = read_index_v3(reader_->image());
       meta_ = index_->meta;
-      // Prefer decoding chunks straight from page cache; a failed map
-      // is not fatal — passes fall back to the cached stream.
-      try {
-        map_ = std::make_unique<MappedFile>(path_);
-      } catch (const std::runtime_error&) {
-        map_ = nullptr;
-      }
       break;
     case TraceFormat::kTsv: {
       // TSV keeps no trailing index, so validating the header costs
@@ -117,20 +113,6 @@ std::istream& FileTraceSource::reset_stream() const {
   stream_.seekg(0);
   EIO_CHECK_MSG(stream_.good(), "cannot rewind trace: " << path_);
   return stream_;
-}
-
-ColumnBatch FileTraceSource::decode_columns(std::size_t i,
-                                            ColumnMask mask) const {
-  const ChunkMeta& chunk = index_->chunks[i];
-  std::uint64_t byte_len = chunk_byte_length(*index_, i);
-  if (map_) {
-    // Zero-copy: the index validated offsets against the footer, and
-    // the footer against the file size, so this sub-span is in-bounds.
-    return decode_chunk_v3(map_->data() + chunk.offset,
-                           static_cast<std::size_t>(byte_len), chunk,
-                           scratch_, mask);
-  }
-  return read_chunk_v3(stream_, chunk, byte_len, raw_, scratch_, mask);
 }
 
 void FileTraceSource::for_each(const EventVisitor& visit) const {
@@ -156,14 +138,13 @@ void FileTraceSource::for_each_columns_hinted(
     TraceSource::for_each_columns_hinted(hint, mask, visit);
     return;
   }
-  (void)reset_stream();
   for (std::size_t i = 0; i < index_->chunks.size(); ++i) {
     if (!hint.admits(index_->chunks[i])) {
       OBS_COUNTER_ADD("scan.chunks_skipped", 1);
       continue;
     }
     OBS_COUNTER_ADD("scan.chunks_scanned", 1);
-    visit(decode_columns(i, mask));
+    visit(reader_->read_columns(*index_, i, mask));
   }
 }
 

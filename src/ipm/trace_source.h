@@ -15,23 +15,23 @@
 // consecutive events, restricted to a ColumnMask). The columnar form is
 // the hot path: the per-event std::function indirection disappears from
 // the decode→accumulate loop, and on v3 files unneeded columns are never
-// decoded — with the mmap path the needed ones decode straight from
-// page cache. Every other source shreds its rows, so columnar consumers
-// see the identical value sequence from any backing format.
+// decoded — the needed ones decode straight from the mapped file
+// through the one v3 chunk decoder (ChunkReader, trace_v3.h). Every
+// other source shreds its rows, so columnar consumers see the
+// identical value sequence from any backing format.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "ipm/columns.h"
-#include "ipm/mapped_file.h"
 #include "ipm/trace.h"
 #include "ipm/trace_stream.h"
+#include "ipm/trace_v3.h"
 
 namespace eio::ipm {
 
@@ -176,18 +176,17 @@ class MemoryTraceSource final : public TraceSource {
 /// Streams a trace file (TSV or binary v3) from disk on every pass.
 /// Holds only the header metadata — plus, for v3, the footer index,
 /// which the hinted passes use to skip chunks. The file is opened (and
-/// its format sniffed) exactly once; every pass rewinds the same
-/// seekable stream. A v3 file is additionally mmap'd when the platform
-/// allows, so its chunks decode zero-copy from page cache (sized reads
-/// through the stream remain as the fallback). Passes mutate the cached
-/// stream and scratch buffers, so one FileTraceSource must not run
-/// concurrent passes — ParallelTraceScanner decodes through per-thread
-/// readers instead.
+/// its format sniffed) exactly once. A TSV pass rewinds the same
+/// stream; a v3 file is mapped once (MappedFile) and every pass decodes
+/// its chunks from that image through one ChunkReader. Passes mutate
+/// the cached stream and scratch buffers, so one FileTraceSource must
+/// not run concurrent passes — ParallelTraceScanner decodes through
+/// per-thread readers instead.
 class FileTraceSource final : public TraceSource {
  public:
   /// Opens the file once to sniff the format and cache metadata (for
-  /// v3 this reads just header + footer, not the events). Throws
-  /// std::runtime_error if unreadable or unrecognized.
+  /// v3 this parses just header + footer, not the events). Throws
+  /// std::runtime_error if unreadable, unrecognized or corrupt.
   explicit FileTraceSource(std::string path);
 
   [[nodiscard]] const TraceMeta& meta() const override { return meta_; }
@@ -205,28 +204,20 @@ class FileTraceSource final : public TraceSource {
   [[nodiscard]] const std::optional<TraceIndex>& index() const noexcept {
     return index_;
   }
-  /// True when a v3 file decodes from an mmap (the zero-copy path).
-  [[nodiscard]] bool zero_copy() const noexcept { return map_ != nullptr; }
 
  private:
-  /// Rewind the cached stream for a fresh pass.
+  /// Rewind the cached stream for a fresh TSV pass.
   [[nodiscard]] std::istream& reset_stream() const;
-  /// Decode indexed chunk i, materializing only the masked columns.
-  /// Spans are valid until the next decode.
-  [[nodiscard]] ColumnBatch decode_columns(std::size_t i,
-                                           ColumnMask mask) const;
 
   std::string path_;
   TraceFormat format_;
   TraceMeta meta_;
   std::optional<TraceIndex> index_;
   mutable std::ifstream stream_;
-  std::unique_ptr<const MappedFile> map_;  ///< v3 zero-copy image
-  // Per-pass scratch, reused so a pass costs zero steady-state
-  // allocations (one chunk's worth of bytes + decoded columns/rows).
-  mutable std::vector<char> raw_;
+  /// v3: the mapped file and its chunk decoder (owns the column scratch).
+  mutable std::optional<ChunkReader> reader_;
+  /// Row scratch for per-event passes over v3, reused across chunks.
   mutable std::vector<TraceEvent> batch_;
-  mutable ColumnScratch scratch_;
 };
 
 }  // namespace eio::ipm

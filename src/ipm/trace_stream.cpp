@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "common/check.h"
-#include "ipm/trace_v3.h"
 #include "ipm/wire.h"
 
 namespace eio::ipm {
@@ -108,14 +107,6 @@ void write_tsv_event(std::ostream& out, const TraceEvent& e) {
   out << e.start << '\t' << e.duration << '\t' << posix::op_name(e.op) << '\t'
       << e.rank << '\t' << e.file << '\t' << e.offset << '\t' << e.bytes
       << '\t' << e.phase << '\n';
-}
-
-TraceMeta stream_any(std::istream& in, const EventVisitor& visit) {
-  switch (sniff_format(in)) {
-    case TraceFormat::kTsv: return stream_tsv(in, visit);
-    case TraceFormat::kBinaryV3: return stream_binary_v3(in, visit);
-  }
-  throw std::runtime_error("unreachable trace format");
 }
 
 std::uint64_t chunk_byte_length(const TraceIndex& index, std::size_t i) {

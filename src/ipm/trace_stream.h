@@ -9,17 +9,17 @@
 //    trace_v3.h). Events are written in chunks, each preceded by a
 //    one-byte tag, and a footer index records every chunk's offset,
 //    event count, op mask, rank/phase ranges and time span. A fixed
-//    16-byte trailer (footer offset + magic) lets a seekable reader
-//    jump straight to the index and scan only the chunks that can
-//    match a filter; a non-seekable reader streams the tagged chunks in
-//    order. Either way, memory stays O(chunk), never O(events).
+//    16-byte trailer (footer offset + magic) lets a reader jump
+//    straight to the index and decode only the chunks that can match
+//    a filter. v3 is read only from the file's byte image, by the one
+//    index parser and chunk decoder in trace_v3.h.
 //
-// The functions here are the *kernels*: they parse or emit events one
+// The TSV functions here are *kernels*: they parse or emit events one
 // at a time through a visitor, and every error path throws
 // std::runtime_error (truncated or corrupt input never yields a
-// partial, silently-wrong trace). Trace::read/read_binary/load are
-// thin materializing wrappers over these; TraceSource streams from
-// them without materializing.
+// partial, silently-wrong trace). sniff_format and stream_tsv are the
+// only std::istream readers; Trace::read/load and TraceSource build on
+// them and on the v3 reader.
 #pragma once
 
 #include <cstdint>
@@ -53,13 +53,10 @@ enum class TraceFormat : std::uint8_t { kTsv, kBinaryV3 };
 /// version when the magic is a binary trace this build no longer reads.
 [[nodiscard]] TraceFormat sniff_format(std::istream& in);
 
-/// Streaming readers: parse the header, call `visit` once per event in
-/// stored order, and return the metadata. Throw std::runtime_error on
-/// any malformed, truncated, or count-mismatched input.
+/// Streaming TSV reader: parse the header, call `visit` once per event
+/// in stored order, and return the metadata. Throws std::runtime_error
+/// on any malformed, truncated, or count-mismatched input.
 TraceMeta stream_tsv(std::istream& in, const EventVisitor& visit);
-
-/// Dispatch on sniff_format().
-TraceMeta stream_any(std::istream& in, const EventVisitor& visit);
 
 /// Streaming TSV writer. The header declares the event count up
 /// front, so callers must know it before emitting (v3 has no such
@@ -73,7 +70,7 @@ void write_tsv_event(std::ostream& out, const TraceEvent& event);
 
 /// Index entry summarizing one chunk of events.
 struct ChunkMeta {
-  std::uint64_t offset = 0;     ///< stream offset of the chunk tag byte
+  std::uint64_t offset = 0;     ///< file offset of the chunk tag byte
   std::uint64_t events = 0;
   std::uint32_t op_mask = 0;    ///< bit (1 << op) per op type present
   RankId rank_lo = 0, rank_hi = 0;
@@ -87,7 +84,7 @@ struct ChunkMeta {
 struct TraceIndex {
   TraceMeta meta;  ///< declared_events always set (footer total)
   std::vector<ChunkMeta> chunks;
-  /// Stream offset of the footer tag byte (chunks end here). Zero for
+  /// File offset of the footer tag byte (chunks end here). Zero for
   /// indexes not produced by read_index_v3 (e.g. default-constructed).
   std::uint64_t footer_offset = 0;
 };

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <istream>
 #include <ostream>
 #include <stdexcept>
 
+#include "common/check.h"
 #include "ipm/wire.h"
 #include "obs/registry.h"
 
@@ -43,8 +43,11 @@ constexpr ColumnMask kColBit[kNumCols] = {
 // Caps on self-declared sizes in chunk records, so corrupt input
 // fails with runtime_error instead of a multi-gigabyte allocation. A
 // varint value is at most 10 bytes; RLE adds at most one control byte
-// per 128 literals.
+// per 128 literals, and expands at most 65-fold (a 2-byte block
+// repeats a byte 130 times), so a decoded column never outgrows the
+// bytes it was read from by more than that.
 constexpr std::uint64_t kMaxChunkEvents = std::uint64_t{1} << 28;
+constexpr std::uint64_t kMaxRleExpansion = 65;
 [[nodiscard]] std::uint64_t max_col_bytes(std::uint64_t count) {
   return count * 16 + 64;
 }
@@ -60,7 +63,8 @@ void check_col_header(int col, const ColHeader& h, std::uint64_t count) {
   if (h.enc != kColEnc[col]) {
     throw std::runtime_error("corrupt v3 trace: unexpected column encoding");
   }
-  if (h.enc_len > max_col_bytes(count) || h.raw_len > max_col_bytes(count)) {
+  if (h.enc_len > max_col_bytes(count) || h.raw_len > max_col_bytes(count) ||
+      h.raw_len > h.enc_len * kMaxRleExpansion) {
     throw std::runtime_error("corrupt v3 trace: absurd column length");
   }
 }
@@ -106,6 +110,11 @@ void decode_column(int col, const ColHeader& h, const char* payload,
                    static_cast<std::size_t>(h.raw_len), s.blob);
     raw = s.blob.data();
     raw_len = h.raw_len;
+  }
+  // Every varint takes at least one byte: reject a count the payload
+  // cannot hold before sizing the column for it.
+  if (kColEnc[col] != kEncRawF64 && raw_len < count) {
+    throw std::runtime_error("corrupt v3 trace: column length mismatch");
   }
   switch (col) {
     case 0:
@@ -254,7 +263,7 @@ TraceWriterV3::TraceWriterV3(std::ostream& out, std::string experiment,
     : out_(&out), options_(options) {
   if (options_.chunk_events == 0) options_.chunk_events = 1;
   buffer_.reserve(options_.chunk_events);
-  wire::write_header(out, wire::kMagicV3, ranks, experiment);
+  wire::write_header(out, ranks, experiment);
 }
 
 TraceWriterV3::~TraceWriterV3() {
@@ -348,21 +357,71 @@ void TraceWriterV3::finish() {
   if (finished_) return;
   finished_ = true;
   flush_chunk();
-  wire::write_footer(*out_, chunks_, total_events_, wire::kTrailerV3);
+  wire::write_footer(*out_, chunks_, total_events_);
   if (!out_->good()) throw std::runtime_error("v3 trace write failed");
 }
 
-TraceIndex read_index_v3(std::istream& in) {
-  return wire::read_index(in, wire::kMagicV3, wire::kTrailerV3,
-                          "v3 binary ipm-io trace");
+TraceIndex read_index_v3(std::span<const char> image) {
+  const char* const base = image.data();
+  const std::uint64_t size = image.size();
+  wire::ByteReader head{base, base + size};
+  TraceIndex index;
+  index.meta = wire::read_header(head);
+  const auto header_end = static_cast<std::uint64_t>(head.p - base);
+
+  if (size < header_end + 16) {
+    throw std::runtime_error("truncated v3 trace (no trailer)");
+  }
+  wire::ByteReader trailer{base + size - 16, base + size};
+  const auto footer_offset = trailer.scalar<std::uint64_t>();
+  if (!std::equal(trailer.p, trailer.end, wire::kTrailerV3)) {
+    throw std::runtime_error("truncated v3 trace (missing trailer magic)");
+  }
+  if (footer_offset < header_end || footer_offset >= size - 16) {
+    throw std::runtime_error("corrupt trace: footer offset out of bounds");
+  }
+
+  // The footer must fill exactly the bytes between its offset and the
+  // trailer.
+  wire::ByteReader footer{base + footer_offset, base + size - 16};
+  if (footer.u8() != wire::kFooterTag) {
+    throw std::runtime_error("corrupt trace: footer tag mismatch");
+  }
+  auto [chunks, total] = wire::read_footer(footer);
+  if (footer.remaining() != 0) {
+    throw std::runtime_error(
+        "corrupt trace: footer does not end at the trailer");
+  }
+
+  // The chunks must tile [header_end, footer_offset): the first starts
+  // where the header ends and offsets strictly increase (each chunk
+  // then spans up to the next, and decode_chunk_v3 requires it to
+  // consume exactly that span).
+  if (chunks.empty() && footer_offset != header_end) {
+    throw std::runtime_error(
+        "corrupt trace: footer does not follow the header");
+  }
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    const std::uint64_t at = chunks[i].offset;
+    if (i == 0 && at != header_end) {
+      throw std::runtime_error(
+          "corrupt trace: first chunk does not start at the header end");
+    }
+    if ((i > 0 && at <= chunks[i - 1].offset) || at >= footer_offset) {
+      throw std::runtime_error("corrupt trace: chunk offset out of bounds");
+    }
+  }
+  index.chunks = std::move(chunks);
+  index.meta.declared_events = total;
+  index.footer_offset = footer_offset;
+  return index;
 }
 
 ColumnBatch decode_chunk_v3(const char* data, std::size_t len,
                             const ChunkMeta& chunk, ColumnScratch& scratch,
                             ColumnMask mask) {
-  // The v3 decode chokepoint shared by the serial, parallel and mmap
-  // scan paths — counters are work-proportional, identical at any
-  // --jobs value.
+  // The v3 decode chokepoint every reader goes through — counters are
+  // work-proportional, identical at any --jobs value.
   OBS_SPAN("v3.decode_chunk");
   OBS_COUNTER_ADD("v3.chunks_decoded", 1);
   OBS_COUNTER_ADD("v3.events_decoded", chunk.events);
@@ -395,75 +454,29 @@ ColumnBatch decode_chunk_v3(const char* data, std::size_t len,
   return batch_from_scratch(scratch, mask, count);
 }
 
-ColumnBatch read_chunk_v3(std::istream& in, const ChunkMeta& chunk,
-                          std::uint64_t byte_len, std::vector<char>& raw,
-                          ColumnScratch& scratch, ColumnMask mask) {
-  in.clear();
-  in.seekg(static_cast<std::streamoff>(chunk.offset));
-  raw.resize(byte_len);
-  in.read(raw.data(), static_cast<std::streamsize>(byte_len));
-  if (static_cast<std::uint64_t>(in.gcount()) != byte_len) {
-    throw std::runtime_error("truncated v3 trace (chunk body)");
+ChunkReader::ChunkReader(const std::string& path, TraceFormat format,
+                         const MappedFile* map) {
+  EIO_CHECK(format == TraceFormat::kBinaryV3);
+  if (map == nullptr) {
+    owned_ = std::make_unique<const MappedFile>(path);
+    map = owned_.get();
   }
-  return decode_chunk_v3(raw.data(), static_cast<std::size_t>(byte_len),
-                         chunk, scratch, mask);
+  image_ = map->bytes();
 }
 
-TraceMeta stream_binary_v3(std::istream& in, const EventVisitor& visit) {
-  TraceMeta meta =
-      wire::get_header(in, wire::kMagicV3, "v3 binary ipm-io trace");
-  ColumnScratch scratch;
-  std::vector<char> payload;
-  std::uint64_t parsed = 0;
-  for (;;) {
-    auto record_start = static_cast<std::uint64_t>(in.tellg());
-    auto tag = wire::get<std::uint8_t>(in);
-    if (tag == wire::kChunkTag) {
-      auto count = wire::get_varint(in);
-      if (count > kMaxChunkEvents) {
-        throw std::runtime_error("corrupt v3 trace: absurd chunk event count");
-      }
-      for (int col = 0; col < kNumCols; ++col) {
-        ColHeader h;
-        auto enc = wire::get<std::uint8_t>(in);
-        h.rle = (enc & kRleFlag) != 0;
-        h.enc = enc & static_cast<std::uint8_t>(~kRleFlag);
-        h.enc_len = wire::get_varint(in);
-        h.raw_len = h.rle ? wire::get_varint(in) : h.enc_len;
-        check_col_header(col, h, count);
-        payload.resize(static_cast<std::size_t>(h.enc_len));
-        in.read(payload.data(), static_cast<std::streamsize>(h.enc_len));
-        if (static_cast<std::uint64_t>(in.gcount()) != h.enc_len) {
-          throw std::runtime_error("truncated v3 trace (column stream)");
-        }
-        decode_column(col, h, payload.data(), count, scratch);
-      }
-      ColumnBatch batch = batch_from_scratch(scratch, kColAll, count);
-      for (std::size_t i = 0; i < batch.size(); ++i) visit(batch.event_at(i));
-      parsed += count;
-      continue;
-    }
-    if (tag != wire::kFooterTag) {
-      throw std::runtime_error("corrupt v3 trace: bad chunk tag");
-    }
-    auto [chunks, total] = wire::get_footer(in);
-    if (parsed != total) {
-      throw std::runtime_error(
-          "truncated v3 trace: chunk events disagree with footer");
-    }
-    meta.declared_events = total;
-    // The trailer must be present and intact even on a sequential read
-    // — it is what distinguishes a complete file from one cut off
-    // exactly at a chunk boundary. Its footer pointer must also agree
-    // with where the footer was actually found, so a trailer patched
-    // to point past EOF (or anywhere else) is rejected on every path,
-    // not just the seeking one.
-    if (wire::get<std::uint64_t>(in) != record_start) {
-      throw std::runtime_error("corrupt v3 trace: footer offset out of bounds");
-    }
-    wire::check_magic(in, wire::kTrailerV3, "complete v3 trace trailer");
-    return meta;
+ColumnBatch ChunkReader::read_columns(const TraceIndex& index,
+                                      std::size_t chunk, ColumnMask mask) {
+  const ChunkMeta& meta = index.chunks[chunk];
+  const std::uint64_t byte_len = chunk_byte_length(index, chunk);
+  // read_index_v3 tiled the chunks below the footer of the image it
+  // parsed; an index read from another image of the file must still
+  // fit inside this one.
+  if (index.footer_offset > image_.size()) {
+    throw std::runtime_error("corrupt trace: index does not fit the file");
   }
+  return decode_chunk_v3(image_.data() + meta.offset,
+                         static_cast<std::size_t>(byte_len), meta, scratch_,
+                         mask);
 }
 
 }  // namespace eio::ipm

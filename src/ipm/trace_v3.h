@@ -23,23 +23,29 @@
 // The explicit length prefix on every column is what buys selective
 // decode: a reader hands decode_chunk_v3 a ColumnMask and unneeded
 // columns are skipped in O(1), so a summary scan touching op + bytes +
-// duration never parses ranks, files, offsets or phases. Combined with
-// the mmap path (see mapped_file.h) a v3 scan decodes columns straight
+// duration never parses ranks, files, offsets or phases.
+//
+// There is one reader. Every v3 input is parsed from the file's byte
+// image — a MappedFile (see mapped_file.h), or a buffer holding a
+// stream's bytes — by read_index_v3 and, chunk by chunk, by
+// decode_chunk_v3 via ChunkReader. A scan decodes columns straight
 // from the page cache with no read() syscalls and no staging copies.
 //
-// Error contract: truncated or corrupt input — short column
-// stream, bad compression header, footer past EOF, wrong trailer —
-// always throws std::runtime_error, never crashes or yields a partial
-// batch.
+// Error contract: truncated or corrupt input — short column stream,
+// bad compression header, footer past EOF, wrong trailer, records that
+// do not tile the file — always throws std::runtime_error, never
+// crashes or yields a partial batch.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "ipm/columns.h"
+#include "ipm/mapped_file.h"
 #include "ipm/sink.h"
 #include "ipm/trace_stream.h"
 
@@ -92,33 +98,53 @@ class TraceWriterV3 final : public EventSink {
   bool finished_ = false;
 };
 
-/// Read the footer index of a v3 trace from a seekable stream.
-/// Validates trailer magic, footer bounds and chunk-offset
-/// monotonicity.
-[[nodiscard]] TraceIndex read_index_v3(std::istream& in);
+/// Parse the footer index from a v3 file's whole byte image (mapped or
+/// buffered). Validates the header, trailer magic and footer bounds,
+/// and that the records tile the file: the first chunk (else the
+/// footer) starts where the header ends, chunk offsets strictly
+/// increase, and the footer ends exactly at the trailer. Together with
+/// decode_chunk_v3 consuming each chunk span exactly, no byte of the
+/// file goes unchecked.
+[[nodiscard]] TraceIndex read_index_v3(std::span<const char> image);
 
-/// Sequential reader: visit every event in stored order (decodes each
-/// chunk's columns, then re-rows them). Validates the footer totals and
-/// trailer, so a file cut at a chunk boundary still throws.
-TraceMeta stream_binary_v3(std::istream& in, const EventVisitor& visit);
-
-/// Decode one v3 chunk from an in-memory image (a mapped file region
-/// or a sized read). `data` must span exactly the chunk record —
-/// tag byte through last column payload (see chunk_byte_length); the
-/// decode must consume every byte or it throws. Only the masked
-/// columns are materialized (into `scratch`); the rest are skipped via
-/// their length prefixes. The returned spans alias `scratch` and stay
-/// valid until the next decode into it.
+/// Decode one v3 chunk from an in-memory image. `data` must span
+/// exactly the chunk record — tag byte through last column payload
+/// (see chunk_byte_length); the decode must consume every byte or it
+/// throws. Only the masked columns are materialized (into `scratch`);
+/// the rest are skipped via their length prefixes. The returned spans
+/// alias `scratch` and stay valid until the next decode into it.
 ColumnBatch decode_chunk_v3(const char* data, std::size_t len,
                             const ChunkMeta& chunk, ColumnScratch& scratch,
                             ColumnMask mask = kColAll);
 
-/// Stream-fallback chunk decode: seek to chunk.offset, pull byte_len
-/// bytes into `raw`, then decode_chunk_v3 from memory — the path for
-/// platforms (or callers) without an mmap.
-ColumnBatch read_chunk_v3(std::istream& in, const ChunkMeta& chunk,
-                          std::uint64_t byte_len, std::vector<char>& raw,
-                          ColumnScratch& scratch, ColumnMask mask = kColAll);
+/// Chunk decoder over one v3 byte image: a file it maps (or a shared
+/// mapping it borrows, or a caller's buffer) plus its own column
+/// scratch, so a scan's steady state allocates nothing. Every v3 chunk
+/// any reader visits — Trace::load/read_binary, FileTraceSource and
+/// each ParallelTraceScanner worker — is decoded through read_columns.
+/// One reader per thread; any number may share one image.
+class ChunkReader {
+ public:
+  /// `map` must outlive the reader; null makes the reader map `path`
+  /// itself. `format` must be kBinaryV3, the one indexed format.
+  ChunkReader(const std::string& path, TraceFormat format,
+              const MappedFile* map = nullptr);
+  /// Decode from a caller-owned image that must outlive the reader.
+  explicit ChunkReader(std::span<const char> image) : image_(image) {}
+
+  /// The whole file's bytes, for read_index_v3.
+  [[nodiscard]] std::span<const char> image() const noexcept { return image_; }
+
+  /// Decode one indexed chunk as a ColumnBatch with only the masked
+  /// columns materialized; spans stay valid until the next read.
+  [[nodiscard]] ColumnBatch read_columns(const TraceIndex& index,
+                                         std::size_t chunk, ColumnMask mask);
+
+ private:
+  std::unique_ptr<const MappedFile> owned_;  ///< set when no map was lent
+  std::span<const char> image_;
+  ColumnScratch scratch_;
+};
 
 /// The per-column byte-RLE codec (exposed for tests). Control byte
 /// c in [0,127]: the next c+1 bytes are literals; c in [128,255]: the

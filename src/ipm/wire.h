@@ -3,14 +3,17 @@
 // The low-level vocabulary of the v3 container: little-endian
 // fixed-width scalars, LEB128 varints, zigzag for signed fields, a
 // bounds-checked in-memory cursor for hot decode paths, and the
-// chunk-meta/footer/trailer records. Everything here is an internal
-// detail of eio::ipm's serialization layer — analysis code should stay
-// on the public surfaces in trace_stream.h / trace_v3.h.
+// chunk-meta/footer/trailer records. Encoders write to a std::ostream;
+// decoders read only from a byte image (the mapped or buffered file)
+// through ByteReader, so every v3 input is parsed by the same
+// bounds-checked code. Everything here is an internal detail of
+// eio::ipm's serialization layer — analysis code should stay on the
+// public surfaces in trace_stream.h / trace_v3.h.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <istream>
+#include <cstring>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -28,10 +31,10 @@ inline constexpr char kTsvMagic[] = "# ipm-io-trace";
 inline constexpr char kMagicV3[8] = {'I', 'P', 'M', 'I', 'O', 'B', '3', '\n'};
 inline constexpr char kTrailerV3[8] = {'I', 'P', 'M', '3', 'I', 'D', 'X', '\n'};
 
-// Sanity caps rejecting absurd header fields before they turn into
-// multi-gigabyte allocations on corrupt input.
-inline constexpr std::uint64_t kMaxNameLen = 1 << 20;
-inline constexpr std::uint64_t kMaxChunks = std::uint64_t{1} << 32;
+// The smallest encoded ChunkMeta: eight one-byte varints plus the two
+// f64 times. A footer's chunk count is bounded by the bytes left for
+// it, so a corrupt count is rejected before it sizes an allocation.
+inline constexpr std::uint64_t kMinChunkMetaBytes = 8 + 2 * sizeof(double);
 
 inline constexpr std::uint8_t kChunkTag = 0x01;
 inline constexpr std::uint8_t kFooterTag = 0x00;
@@ -39,14 +42,6 @@ inline constexpr std::uint8_t kFooterTag = 0x00;
 template <typename T>
 void put(std::ostream& out, T value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof value);
-}
-
-template <typename T>
-T get(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof value);
-  if (!in.good()) throw std::runtime_error("truncated binary trace");
-  return value;
 }
 
 /// LEB128 unsigned varint — small integers (ranks, byte counts, op
@@ -57,18 +52,6 @@ inline void put_varint(std::ostream& out, std::uint64_t value) {
     value >>= 7;
   }
   put<std::uint8_t>(out, static_cast<std::uint8_t>(value));
-}
-
-inline std::uint64_t get_varint(std::istream& in) {
-  std::uint64_t value = 0;
-  int shift = 0;
-  while (true) {
-    auto byte = get<std::uint8_t>(in);
-    value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) return value;
-    shift += 7;
-    if (shift >= 64) throw std::runtime_error("corrupt varint in binary trace");
-  }
 }
 
 /// Varint append into a byte buffer (the columnar encoder's sink).
@@ -89,8 +72,9 @@ inline std::int64_t unzigzag(std::uint64_t v) {
   return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
 }
 
-/// Bounds-checked cursor over an in-memory image — decode hot paths
-/// work on bytes already read (or mapped), paying zero istream calls.
+/// Bounds-checked cursor over an in-memory image — the one decoder of
+/// v3 bytes, reading the file as mapped (or buffered) with no istream
+/// calls. Every read past `end` throws "truncated".
 struct ByteReader {
   const char* p;
   const char* end;
@@ -129,30 +113,16 @@ struct ByteReader {
     p += n;
     return at;
   }
+
+  /// A fixed-width little-endian scalar (the f64 times, the u64
+  /// trailer pointer).
+  template <typename T>
+  T scalar() {
+    T value;
+    std::memcpy(&value, bytes(sizeof value), sizeof value);
+    return value;
+  }
 };
-
-inline std::string get_name(std::istream& in) {
-  auto len = get_varint(in);
-  if (len > kMaxNameLen) {
-    throw std::runtime_error("corrupt binary trace: absurd experiment name");
-  }
-  std::string name(len, '\0');
-  in.read(name.data(), static_cast<std::streamsize>(len));
-  if (!in.good() && len > 0) {
-    throw std::runtime_error("truncated binary trace (experiment name)");
-  }
-  return name;
-}
-
-inline void check_magic(std::istream& in, const char (&magic)[8],
-                        const char* what) {
-  char buf[8];
-  in.read(buf, sizeof buf);
-  if (!in.good() || !std::equal(std::begin(buf), std::end(buf), magic)) {
-    throw std::runtime_error(std::string("not a ") + what +
-                             " (missing magic)");
-  }
-}
 
 /// Fold one event into a chunk's footer metadata.
 inline void fold_into(ChunkMeta& meta, const TraceEvent& e) {
@@ -189,34 +159,34 @@ inline void put_chunk_meta(std::ostream& out, const ChunkMeta& c) {
   put_varint(out, c.data_bytes);
 }
 
-inline ChunkMeta get_chunk_meta(std::istream& in) {
+inline ChunkMeta read_chunk_meta(ByteReader& r) {
   ChunkMeta c;
-  c.offset = get_varint(in);
-  c.events = get_varint(in);
-  c.op_mask = static_cast<std::uint32_t>(get_varint(in));
-  c.rank_lo = static_cast<RankId>(get_varint(in));
-  c.rank_hi = static_cast<RankId>(get_varint(in));
-  c.phase_lo = static_cast<std::int32_t>(unzigzag(get_varint(in)));
-  c.phase_hi = static_cast<std::int32_t>(unzigzag(get_varint(in)));
-  c.t_lo = get<double>(in);
-  c.t_hi = get<double>(in);
-  c.data_bytes = get_varint(in);
+  c.offset = r.varint();
+  c.events = r.varint();
+  c.op_mask = static_cast<std::uint32_t>(r.varint());
+  c.rank_lo = static_cast<RankId>(r.varint());
+  c.rank_hi = static_cast<RankId>(r.varint());
+  c.phase_lo = static_cast<std::int32_t>(unzigzag(r.varint()));
+  c.phase_hi = static_cast<std::int32_t>(unzigzag(r.varint()));
+  c.t_lo = r.scalar<double>();
+  c.t_hi = r.scalar<double>();
+  c.data_bytes = r.varint();
   return c;
 }
 
 /// Parse a footer body (after its tag byte): chunk metas + total.
-inline std::pair<std::vector<ChunkMeta>, std::uint64_t> get_footer(
-    std::istream& in) {
-  auto chunk_count = get_varint(in);
-  if (chunk_count > kMaxChunks) {
+inline std::pair<std::vector<ChunkMeta>, std::uint64_t> read_footer(
+    ByteReader& r) {
+  auto chunk_count = r.varint();
+  if (chunk_count > r.remaining() / kMinChunkMetaBytes) {
     throw std::runtime_error("corrupt trace: absurd chunk count");
   }
   std::vector<ChunkMeta> chunks;
   chunks.reserve(chunk_count);
   for (std::uint64_t i = 0; i < chunk_count; ++i) {
-    chunks.push_back(get_chunk_meta(in));
+    chunks.push_back(read_chunk_meta(r));
   }
-  auto total = get_varint(in);
+  auto total = r.varint();
   std::uint64_t sum = 0;
   for (const ChunkMeta& c : chunks) sum += c.events;
   if (sum != total) {
@@ -225,81 +195,42 @@ inline std::pair<std::vector<ChunkMeta>, std::uint64_t> get_footer(
   return {std::move(chunks), total};
 }
 
-/// Write the chunked-format header (magic + ranks + name).
-inline void write_header(std::ostream& out, const char (&magic)[8],
-                         std::uint32_t ranks, const std::string& experiment) {
-  out.write(magic, 8);
+/// Write the header (magic + ranks + name).
+inline void write_header(std::ostream& out, std::uint32_t ranks,
+                         const std::string& experiment) {
+  out.write(kMagicV3, 8);
   put_varint(out, ranks);
   put_varint(out, experiment.size());
   out.write(experiment.data(),
             static_cast<std::streamsize>(experiment.size()));
 }
 
-/// Read the chunked-format header back.
-inline TraceMeta get_header(std::istream& in, const char (&magic)[8],
-                            const char* what) {
-  check_magic(in, magic, what);
+/// Read the header back.
+inline TraceMeta read_header(ByteReader& r) {
+  if (r.remaining() < 8 || !std::equal(r.p, r.p + 8, kMagicV3)) {
+    throw std::runtime_error("not a v3 binary ipm-io trace (missing magic)");
+  }
+  r.p += 8;
   TraceMeta meta;
-  meta.ranks = static_cast<std::uint32_t>(get_varint(in));
-  meta.experiment = get_name(in);
+  meta.ranks = static_cast<std::uint32_t>(r.varint());
+  const auto len = static_cast<std::size_t>(r.varint());
+  meta.experiment.assign(r.bytes(len), len);
   return meta;
 }
 
 /// Write the footer index + 16-byte trailer:
 /// footer tag, chunk metas, total, then the fixed (footer offset +
-/// trailer magic) record a seekable reader jumps to.
+/// trailer magic) record a reader finds at the end of the file.
 inline void write_footer(std::ostream& out,
                          const std::vector<ChunkMeta>& chunks,
-                         std::uint64_t total_events,
-                         const char (&trailer_magic)[8]) {
+                         std::uint64_t total_events) {
   auto footer_offset = static_cast<std::uint64_t>(out.tellp());
   put<std::uint8_t>(out, kFooterTag);
   put_varint(out, chunks.size());
   for (const ChunkMeta& c : chunks) put_chunk_meta(out, c);
   put_varint(out, total_events);
   put<std::uint64_t>(out, footer_offset);
-  out.write(trailer_magic, 8);
-}
-
-/// Read the footer index of an indexed trace from a seekable
-/// stream: validate the trailer magic and footer bounds, then check
-/// every chunk offset is in-bounds and strictly increasing (the sized
-/// chunk reads derive each chunk's byte length from the next offset,
-/// so out-of-order entries would alias chunk extents).
-inline TraceIndex read_index(std::istream& in, const char (&file_magic)[8],
-                             const char (&trailer_magic)[8],
-                             const char* what) {
-  TraceIndex index;
-  index.meta = get_header(in, file_magic, what);
-  auto header_end = static_cast<std::uint64_t>(in.tellg());
-
-  in.seekg(0, std::ios::end);
-  auto file_size = static_cast<std::uint64_t>(in.tellg());
-  if (file_size < header_end + 16) {
-    throw std::runtime_error("truncated trace (no trailer)");
-  }
-  in.seekg(static_cast<std::streamoff>(file_size - 16));
-  auto footer_offset = get<std::uint64_t>(in);
-  check_magic(in, trailer_magic, what);
-  if (footer_offset < header_end || footer_offset >= file_size - 16) {
-    throw std::runtime_error("corrupt trace: footer offset out of bounds");
-  }
-  in.seekg(static_cast<std::streamoff>(footer_offset));
-  if (get<std::uint8_t>(in) != kFooterTag) {
-    throw std::runtime_error("corrupt trace: footer tag mismatch");
-  }
-  auto [chunks, total] = get_footer(in);
-  index.chunks = std::move(chunks);
-  index.meta.declared_events = total;
-  index.footer_offset = footer_offset;
-  std::uint64_t prev = header_end;
-  for (const ChunkMeta& c : index.chunks) {
-    if (c.offset < prev || c.offset >= footer_offset) {
-      throw std::runtime_error("corrupt trace: chunk offset out of bounds");
-    }
-    prev = c.offset + 1;
-  }
-  return index;
+  out.write(kTrailerV3, 8);
 }
 
 }  // namespace eio::ipm::wire

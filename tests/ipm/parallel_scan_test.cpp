@@ -501,31 +501,6 @@ TEST(ParallelScanTest, ScanColumnsAgreesWithRowScan) {
   std::remove(path.c_str());
 }
 
-TEST(ParallelScanTest, ChunkReaderStreamFallbackMatchesMmap) {
-  const ipm::Trace t = monotonic_trace(600);
-  const std::string path = write_chunked(t, 128, "fallback");
-  std::ifstream in(path, std::ios::binary);
-  (void)ipm::sniff_format(in);
-  const ipm::TraceIndex index = ipm::read_index_v3(in);
-
-  const ipm::MappedFile map(path);
-  ipm::ChunkReader mapped(path, ipm::TraceFormat::kBinaryV3, &map);
-  ipm::ChunkReader streamed(path, ipm::TraceFormat::kBinaryV3, nullptr);
-  for (std::size_t c = 0; c < index.chunks.size(); ++c) {
-    // Each reader decodes into its own scratch, so both batches stay
-    // valid side by side.
-    const ipm::ColumnBatch a = mapped.read_columns(index, c, ipm::kColAll);
-    const ipm::ColumnBatch b = streamed.read_columns(index, c, ipm::kColAll);
-    ASSERT_EQ(a.size(), b.size()) << "chunk " << c;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a.start[i], b.start[i]);
-      EXPECT_EQ(a.bytes[i], b.bytes[i]);
-      EXPECT_EQ(a.phase[i], b.phase[i]);
-    }
-  }
-  std::remove(path.c_str());
-}
-
 TEST(ParallelScanTest, ChunkHintUnionWidensSoundly) {
   const ipm::ChunkHint writes{.op = posix::OpType::kWrite};
   const ipm::ChunkHint reads{.op = posix::OpType::kRead};

@@ -1,20 +1,26 @@
 // Binary v3 format: columnar round-trips, byte-exact re-encoding, the
 // footer index and chunk hints, selective (masked) decode, the RLE
-// codec, the mmap zero-copy path, and the corrupt/truncated-input
-// sweep — every damaged input must throw std::runtime_error, never
-// crash or parse as complete.
+// codec, the mapped-file path, and the corrupt/truncated-input checks
+// — crafted shapes, every truncation, and a seeded mutation sweep. A
+// damaged input must throw std::runtime_error from every reader, never
+// crash, throw anything else, or parse as complete.
 #include "ipm/trace_v3.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "ipm/mapped_file.h"
+#include "ipm/parallel_scan.h"
 #include "ipm/trace.h"
 #include "ipm/trace_source.h"
 #include "ipm/trace_stream.h"
@@ -126,8 +132,7 @@ TEST(TraceV3Test, V3RewriteIsByteExact) {
 
 TEST(TraceV3Test, WriterChunksAndFooterIndexAgree) {
   Trace t = sample_trace(30);
-  std::stringstream ss(v3_bytes(t, 8));
-  TraceIndex index = read_index_v3(ss);
+  TraceIndex index = read_index_v3(v3_bytes(t, 8));
   EXPECT_EQ(index.meta.experiment, "v3-test");
   EXPECT_EQ(index.meta.ranks, 8u);
   ASSERT_TRUE(index.meta.declared_events.has_value());
@@ -167,15 +172,15 @@ TEST(TraceV3Test, ChunkHintAdmitsUsesFooterMetadata) {
 
 TEST(TraceV3Test, MaskedDecodeSkipsUnrequestedColumns) {
   Trace t = sample_trace(100);
-  std::stringstream ss(v3_bytes(t, 64));
-  TraceIndex index = read_index_v3(ss);
+  const std::string bytes = v3_bytes(t, 64);
+  TraceIndex index = read_index_v3(bytes);
   ASSERT_EQ(index.chunks.size(), 2u);
+  const char* chunk0 = bytes.data() + index.chunks[0].offset;
+  const auto len0 = static_cast<std::size_t>(chunk_byte_length(index, 0));
 
   ColumnScratch scratch;
-  std::vector<char> raw;
-  ColumnBatch partial =
-      read_chunk_v3(ss, index.chunks[0], chunk_byte_length(index, 0), raw,
-                    scratch, kColDuration | kColOp);
+  ColumnBatch partial = decode_chunk_v3(chunk0, len0, index.chunks[0],
+                                        scratch, kColDuration | kColOp);
   ASSERT_EQ(partial.size(), 64u);
   EXPECT_EQ(partial.duration.size(), 64u);
   EXPECT_EQ(partial.op.size(), 64u);
@@ -186,9 +191,8 @@ TEST(TraceV3Test, MaskedDecodeSkipsUnrequestedColumns) {
 
   // Masked values agree with the full decode, element for element.
   ColumnScratch full_scratch;
-  ColumnBatch full = read_chunk_v3(ss, index.chunks[0],
-                                   chunk_byte_length(index, 0), raw,
-                                   full_scratch, kColAll);
+  ColumnBatch full =
+      decode_chunk_v3(chunk0, len0, index.chunks[0], full_scratch, kColAll);
   for (std::size_t i = 0; i < full.size(); ++i) {
     EXPECT_EQ(partial.duration[i], full.duration[i]);
     EXPECT_EQ(partial.op[i], full.op[i]);
@@ -278,8 +282,7 @@ TEST(TraceV3Test, CorruptTrailerMagicThrows) {
   bytes[bytes.size() - 1] ^= 0x5a;  // damage the trailer magic
   std::stringstream damaged(bytes);
   EXPECT_THROW((void)Trace::read_binary(damaged), std::runtime_error);
-  std::stringstream damaged2(bytes);
-  EXPECT_THROW((void)read_index_v3(damaged2), std::runtime_error);
+  EXPECT_THROW((void)read_index_v3(bytes), std::runtime_error);
 }
 
 TEST(TraceV3Test, FooterPointingPastEofThrows) {
@@ -295,8 +298,7 @@ TEST(TraceV3Test, FooterPointingPastEofThrows) {
       patched[patched.size() - 16 + b] =
           static_cast<char>((bogus >> (8 * b)) & 0xFF);
     }
-    std::stringstream damaged(patched);
-    EXPECT_THROW((void)read_index_v3(damaged), std::runtime_error)
+    EXPECT_THROW((void)read_index_v3(patched), std::runtime_error)
         << "footer offset " << bogus << " accepted";
     std::stringstream damaged2(patched);
     EXPECT_THROW((void)Trace::read_binary(damaged2), std::runtime_error);
@@ -323,8 +325,7 @@ std::size_t column_header_offset(const std::string& bytes,
 TEST(TraceV3Test, CorruptColumnEncodingByteThrows) {
   Trace t = sample_trace(16);
   std::string bytes = v3_bytes(t);
-  std::stringstream ss(bytes);
-  TraceIndex index = read_index_v3(ss);
+  TraceIndex index = read_index_v3(bytes);
   ASSERT_EQ(index.chunks.size(), 1u);
   // Damage each column's encoding byte in turn: the decoder pins the
   // expected encoding per column, so any substitution throws.
@@ -347,8 +348,7 @@ TEST(TraceV3Test, CorruptCompressionHeaderThrows) {
     t.add(make_event(0.5 * i, 0.25, posix::OpType::kWrite, 2, 8192, 3));
   }
   std::string bytes = v3_bytes(t);
-  std::stringstream ss(bytes);
-  TraceIndex index = read_index_v3(ss);
+  TraceIndex index = read_index_v3(bytes);
   ASSERT_EQ(index.chunks.size(), 1u);
 
   int compressed_cols = 0;
@@ -412,8 +412,8 @@ TEST(TraceV3Test, FileTraceSourceUsesZeroCopyForV3) {
   FileTraceSource v3_source(v3);
   EXPECT_EQ(tsv_source.format(), TraceFormat::kTsv);
   EXPECT_EQ(v3_source.format(), TraceFormat::kBinaryV3);
-  EXPECT_FALSE(tsv_source.zero_copy());  // mmap is a v3-only path
-  EXPECT_EQ(v3_source.zero_copy(), MappedFile::mmap_supported());
+  ASSERT_TRUE(v3_source.index().has_value());  // the footer index
+  EXPECT_FALSE(tsv_source.index().has_value());
 
   // Both formats replay the identical event sequence.
   std::vector<double> tsv_starts, v3_starts;
@@ -482,6 +482,218 @@ TEST(TraceV3Test, UncompressedWriterOptionRoundTrips) {
   // the writer only applies RLE when it shrinks a column, so the
   // compressed file is never bigger than the plain one.
   EXPECT_LE(v3_bytes(t).size(), plain.str().size());
+}
+
+/// A file whose records do not tile it must be rejected by every
+/// reader that opens it from disk, and by the stream reader.
+void expect_rejected_everywhere(const std::string& bytes,
+                                const std::string& message) {
+  const std::string path = testutil::temp_path(".v3");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  auto expect_message = [&message](const std::function<void()>& read,
+                                   const char* reader) {
+    try {
+      read();
+      ADD_FAILURE() << reader << " accepted the file";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(e.what(), message) << reader;
+    }
+  };
+  expect_message([&] { FileTraceSource source(path); }, "FileTraceSource");
+  expect_message([&] { ParallelTraceScanner scanner(path); },
+                 "ParallelTraceScanner");
+  expect_message([&] { (void)Trace::load(path); }, "Trace::load");
+  expect_message(
+      [&] {
+        std::stringstream in(bytes);
+        (void)Trace::read_binary(in);
+      },
+      "Trace::read_binary");
+  std::remove(path.c_str());
+}
+
+TEST(TraceV3Test, JunkBeforeTheTrailerIsRejected) {
+  // The footer must end exactly where the trailer begins; the footer
+  // offset in the trailer still points at the real footer.
+  const std::string bytes = v3_bytes(sample_trace(48), 16);
+  const std::size_t at = bytes.size() - 16;
+  const std::string junked =
+      bytes.substr(0, at) + std::string(7, '\x5a') + bytes.substr(at);
+  expect_rejected_everywhere(
+      junked, "corrupt trace: footer does not end at the trailer");
+}
+
+TEST(TraceV3Test, JunkAfterTheHeaderIsRejected) {
+  // Five bytes between header and first chunk, with every chunk offset
+  // and the trailer's footer pointer shifted to match: an index that
+  // is self-consistent but does not start where the header ends.
+  const std::string bytes = v3_bytes(sample_trace(48), 16);
+  TraceIndex index = read_index_v3(bytes);
+  const std::uint64_t header_end = index.chunks.front().offset;
+  std::ostringstream out(std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(header_end));
+  out << std::string(5, '\x5a');
+  out.write(bytes.data() + header_end,
+            static_cast<std::streamsize>(index.footer_offset - header_end));
+  for (ChunkMeta& c : index.chunks) c.offset += 5;
+  wire::write_footer(out, index.chunks, *index.meta.declared_events);
+  expect_rejected_everywhere(
+      out.str(), "corrupt trace: first chunk does not start at the header end");
+}
+
+TEST(TraceV3Test, AbsurdFooterChunkCountIsRejected) {
+  // A footer declaring 2^31 chunks in a few dozen bytes must fail on
+  // the count, before anything is sized by it.
+  std::ostringstream out(std::ios::binary);
+  wire::write_header(out, 4, "absurd");
+  const auto footer_offset = static_cast<std::uint64_t>(out.tellp());
+  wire::put<std::uint8_t>(out, wire::kFooterTag);
+  wire::put_varint(out, std::uint64_t{1} << 31);
+  out << std::string(48, '\0');
+  wire::put<std::uint64_t>(out, footer_offset);
+  out.write(wire::kTrailerV3, 8);
+  expect_rejected_everywhere(out.str(), "corrupt trace: absurd chunk count");
+}
+
+TEST(TraceV3Test, DeclaredColumnSizesAreCheckedBeforeAllocating) {
+  // A chunk declaring 2^27 events in a few bytes must fail on its
+  // column sizes before the decoder sizes a column for that count.
+  const std::uint64_t n = std::uint64_t{1} << 27;
+  ChunkMeta meta;
+  meta.events = n;
+  ColumnScratch scratch;
+  auto decode_error = [&](const std::string& columns, ColumnMask mask) {
+    std::ostringstream out(std::ios::binary);
+    wire::put<std::uint8_t>(out, wire::kChunkTag);
+    wire::put_varint(out, n);
+    out << columns;
+    const std::string bytes = out.str();
+    try {
+      (void)decode_chunk_v3(bytes.data(), bytes.size(), meta, scratch, mask);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  auto column = [](std::uint8_t enc, std::uint64_t raw_len,
+                   const std::string& payload) {
+    std::ostringstream out(std::ios::binary);
+    wire::put<std::uint8_t>(out, enc);
+    wire::put_varint(out, payload.size());
+    if ((enc & 0x80u) != 0) wire::put_varint(out, raw_len);
+    out << payload;
+    return out.str();
+  };
+  // An RLE start column claiming 8n bytes from a 2-byte payload, which
+  // can expand to 130 bytes at most.
+  EXPECT_EQ(decode_error(column(0x80, 8 * n, std::string("\xff\x00", 2)),
+                         kColStart),
+            "corrupt v3 trace: absurd column length");
+  // A one-byte op column cannot hold n varints (the skipped time
+  // columns are empty).
+  EXPECT_EQ(decode_error(column(0, 0, "") + column(0, 0, "") +
+                             column(1, 1, std::string(1, '\x03')),
+                         kColOp),
+            "corrupt v3 trace: column length mismatch");
+}
+
+/// One seeded mutation of `clean`: 1-8 byte flips, a truncation, a
+/// range spliced over another spot, or a range duplicated in place.
+std::string mutate(const std::string& clean, rng::Stream& rng) {
+  std::string m = clean;
+  const std::size_t n = m.size();
+  const std::size_t len = 1 + rng.index(std::min<std::size_t>(64, n));
+  switch (rng.index(4)) {
+    case 0:
+      for (std::uint64_t k = 1 + rng.index(8); k > 0; --k) {
+        m[rng.index(n)] ^= static_cast<char>(1 + rng.index(255));
+      }
+      break;
+    case 1:
+      m.resize(rng.index(n));
+      break;
+    case 2: {
+      const std::size_t from = rng.index(n - len + 1);
+      const std::size_t to = rng.index(n - len + 1);
+      m.replace(to, len, clean, from, len);
+      break;
+    }
+    default: {
+      const std::size_t from = rng.index(n - len + 1);
+      m.insert(rng.index(n + 1), clean, from, len);
+      break;
+    }
+  }
+  return m;
+}
+
+/// Counts events; enough for scan_kernels to decode every column.
+struct CountKernel {
+  std::uint64_t events = 0;
+  [[nodiscard]] ColumnMask required_columns() const { return kColAll; }
+  void add_batch(const ColumnBatch& batch) { events += batch.size(); }
+  void merge(CountKernel&& other) { events += other.events; }
+};
+
+TEST(TraceV3Test, MutationSweepReadsOrThrowsRuntimeError) {
+  // Every mutant of a 3-chunk image either reads back or throws
+  // std::runtime_error — no other exception, no crash. Values are not
+  // asserted: without checksums some mutants still read back. Every
+  // tenth mutant also goes through the file readers, which must reach
+  // the same verdict as the stream reader whenever it is a v3 file.
+  const std::string clean = v3_bytes(sample_trace(150), 64);
+  ASSERT_EQ(read_index_v3(clean).chunks.size(), 3u);
+  const std::string path = testutil::temp_path(".v3");
+  rng::Stream rng(0x5eed);
+  int rejected = 0;
+  for (int k = 0; k < 2000; ++k) {
+    const std::string mutant = mutate(clean, rng);
+    // True when `read` threw std::runtime_error; any other exception
+    // fails the test, naming the mutant.
+    auto throws = [k](const char* reader, const std::function<void()>& read) {
+      try {
+        read();
+      } catch (const std::runtime_error&) {
+        return true;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "mutant " << k << ": " << reader << " threw "
+                      << e.what();
+      } catch (...) {
+        ADD_FAILURE() << "mutant " << k << ": " << reader
+                      << " threw a non-std exception";
+      }
+      return false;
+    };
+    const bool stream_rejects = throws("Trace::read_binary", [&] {
+      std::stringstream in(mutant);
+      (void)Trace::read_binary(in);
+    });
+    rejected += stream_rejects ? 1 : 0;
+    if (k % 10 != 0) continue;
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(mutant.data(), static_cast<std::streamsize>(mutant.size()));
+    }
+    const bool file_rejects = throws("FileTraceSource", [&] {
+      FileTraceSource source(path);
+      source.for_each([](const TraceEvent&) {});
+    });
+    const bool scan_rejects = throws("ParallelTraceScanner", [&] {
+      ParallelTraceScanner scanner(path, ScanOptions{.jobs = 2});
+      (void)scanner.scan_kernels([](std::size_t) { return CountKernel{}; });
+    });
+    if (mutant.compare(0, 8, wire::kMagicV3, 8) == 0) {
+      EXPECT_EQ(file_rejects, stream_rejects) << "mutant " << k;
+      EXPECT_EQ(scan_rejects, stream_rejects) << "mutant " << k;
+    }
+  }
+  // Sanity: the sweep damages most images, but not all of them.
+  EXPECT_GT(rejected, 1000);
+  EXPECT_LT(rejected, 2000);
+  std::remove(path.c_str());
 }
 
 }  // namespace

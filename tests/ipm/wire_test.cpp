@@ -1,9 +1,10 @@
-// Direct unit tests for the wire-format primitives every binary trace
-// format shares: LEB128 varints (stream and in-memory forms), zigzag
-// signed mapping, and the bounds-checked ByteReader cursor. The format
-// round-trip suites exercise these indirectly; here the edge cases —
-// max-length varints, truncation mid-value, the INT64 extremes — are
-// pinned down on their own.
+// Direct unit tests for the wire-format primitives of the binary trace
+// format: LEB128 varints (stream encoder, buffer encoder, ByteReader
+// decoder), zigzag signed mapping, the bounds-checked ByteReader cursor
+// and the footer parser's allocation bound. The format round-trip
+// suites exercise these indirectly; here the edge cases — max-length
+// varints, truncation mid-value, the INT64 extremes, an absurd chunk
+// count — are pinned down on their own.
 #include "ipm/wire.h"
 
 #include <gtest/gtest.h>
@@ -39,8 +40,10 @@ TEST(WireVarintTest, RoundTripsRepresentativeValues) {
       std::numeric_limits<std::uint64_t>::max() - 1,
       std::numeric_limits<std::uint64_t>::max()};
   for (std::uint64_t v : values) {
-    std::istringstream in(varint_bytes(v), std::ios::binary);
-    EXPECT_EQ(get_varint(in), v) << v;
+    const std::string bytes = varint_bytes(v);
+    ByteReader r{bytes.data(), bytes.data() + bytes.size()};
+    EXPECT_EQ(r.varint(), v) << v;
+    EXPECT_EQ(r.remaining(), 0u) << v;
   }
 }
 
@@ -71,8 +74,8 @@ TEST(WireVarintTest, TruncatedStreamThrows) {
   // must throw "truncated", never return a partial value.
   const std::string full = varint_bytes(std::numeric_limits<std::uint64_t>::max());
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
-    std::istringstream in(full.substr(0, cut), std::ios::binary);
-    EXPECT_THROW((void)get_varint(in), std::runtime_error) << "cut " << cut;
+    ByteReader r{full.data(), full.data() + cut};
+    EXPECT_THROW((void)r.varint(), std::runtime_error) << "cut " << cut;
   }
 }
 
@@ -81,14 +84,11 @@ TEST(WireVarintTest, OverlongEncodingThrowsCorrupt) {
   // reject it instead of silently wrapping the shift.
   std::string bad(11, static_cast<char>(0x80));
   bad.push_back(0x01);
-  std::istringstream in(bad, std::ios::binary);
-  EXPECT_THROW((void)get_varint(in), std::runtime_error);
-
   ByteReader r{bad.data(), bad.data() + bad.size()};
   EXPECT_THROW((void)r.varint(), std::runtime_error);
 }
 
-TEST(WireVarintTest, ByteReaderAgreesWithStreamDecoder) {
+TEST(WireVarintTest, ByteReaderDecodesBackToBackVarints) {
   const std::uint64_t values[] = {0, 127, 128, 0xABCDEF,
                                   std::numeric_limits<std::uint64_t>::max()};
   std::vector<char> buf;
@@ -166,14 +166,39 @@ TEST(WireScalarTest, FixedWidthRoundTripAndTruncation) {
   put<double>(out, -2.5);
   const std::string payload = out.str();
 
-  std::istringstream in(payload, std::ios::binary);
-  EXPECT_EQ(get<std::uint64_t>(in), 0x0123456789ABCDEFull);
-  EXPECT_EQ(get<double>(in), -2.5);
+  ByteReader r{payload.data(), payload.data() + payload.size()};
+  EXPECT_EQ(r.scalar<std::uint64_t>(), 0x0123456789ABCDEFull);
+  EXPECT_EQ(r.scalar<double>(), -2.5);
+  EXPECT_EQ(r.remaining(), 0u);
 
-  std::istringstream cut(payload.substr(0, payload.size() - 1),
-                         std::ios::binary);
-  EXPECT_EQ(get<std::uint64_t>(cut), 0x0123456789ABCDEFull);
-  EXPECT_THROW((void)get<double>(cut), std::runtime_error);
+  ByteReader cut{payload.data(), payload.data() + payload.size() - 1};
+  EXPECT_EQ(cut.scalar<std::uint64_t>(), 0x0123456789ABCDEFull);
+  EXPECT_THROW((void)cut.scalar<double>(), std::runtime_error);
+}
+
+TEST(WireFooterTest, ChunkCountIsBoundedByTheBytesThatRemain) {
+  // A count no footer of this size could hold is rejected before it
+  // sizes the chunk vector (2^31 metas would be a ~128 GiB reserve).
+  std::vector<char> footer;
+  append_varint(footer, std::uint64_t{1} << 31);
+  footer.resize(footer.size() + 64, '\0');
+  ByteReader r{footer.data(), footer.data() + footer.size()};
+  try {
+    (void)read_footer(r);
+    FAIL() << "absurd chunk count accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "corrupt trace: absurd chunk count");
+  }
+
+  // The bound is exact: one meta of the minimum size fits.
+  std::ostringstream one(std::ios::binary);
+  put_varint(one, 1);
+  put_chunk_meta(one, ChunkMeta{});
+  put_varint(one, 0);
+  const std::string bytes = one.str();
+  EXPECT_EQ(bytes.size(), 1 + kMinChunkMetaBytes + 1);
+  ByteReader ok{bytes.data(), bytes.data() + bytes.size()};
+  EXPECT_EQ(read_footer(ok).first.size(), 1u);
 }
 
 }  // namespace
