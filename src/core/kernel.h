@@ -11,6 +11,12 @@
 // them — the fused pass that collapses eiotrace's historical
 // N-scans-per-bundle (and the histogram's extrema+fill double scan)
 // into a single scan whose column mask is the union of its members'.
+//
+// Statistics contract v2 (DESIGN.md §5h): add_batch is defined by the
+// fold–merge identity — folding a batch into any kernel state equals,
+// bit for bit, folding it into a fresh partial and merging that in.
+// The scanner can therefore fold every chunk in place on one thread
+// and still match its own per-chunk partials + ordered merge on many.
 #pragma once
 
 #include <concepts>
@@ -21,15 +27,21 @@
 #include "core/histogram.h"
 #include "core/rate_series.h"
 #include "core/samples.h"
+#include "core/streaming.h"
 #include "ipm/columns.h"
+#include "ipm/trace_v3.h"
 
 namespace eio::analysis {
 
 /// A mergeable streaming statistic over trace events.
 ///
 /// Semantics every model must honor:
-///  * add_batch(b) is value-identical to add(row i of b) for each i in
-///    index order;
+///  * the fold–merge identity: for any state k and batch b of at most
+///    ipm::kMaxChunkEvents rows, k.add_batch(b) leaves k bit-identical
+///    to folding b into a fresh partial p (the factory's kernel for the
+///    chunk b came from) and calling k.merge(std::move(p));
+///  * add(e) folds one event; it agrees with add_batch in value (same
+///    counts, extrema, samples), not necessarily in moment bits;
 ///  * merge(rhs) folds a partial computed over a LATER stream segment
 ///    into this one, and merging chunk partials in stream order equals
 ///    one serial pass (exactly where the kernel is exact, in
@@ -135,16 +147,20 @@ class HistogramKernel {
 class RateKernel {
  public:
   RateKernel(EventFilter filter, double span, std::size_t bins)
-      : filter_(std::move(filter)), builder_(span, bins) {}
+      : filter_(std::move(filter)), builder_(span, bins), local_(span, bins) {}
 
   void add(const ipm::TraceEvent& e) {
     if (filter_.matches(e)) builder_.add(e);
   }
 
+  /// Accumulates the batch into zeroed local bins and adds those in
+  /// once — the sums merge() of a fresh kernel that folded the batch
+  /// would add.
   void add_batch(const ipm::ColumnBatch& batch) {
     filter_.for_each_match(batch, [&](std::size_t i) {
-      builder_.add(batch.start[i], batch.duration[i], batch.bytes[i]);
+      local_.add(batch.start[i], batch.duration[i], batch.bytes[i]);
     });
+    local_.drain_into(builder_);
   }
 
   void merge(RateKernel&& other) { builder_.merge(other.builder_); }
@@ -161,7 +177,13 @@ class RateKernel {
  private:
   EventFilter filter_;
   RateSeriesBuilder builder_;
+  RateSeriesBuilder local_;  ///< one batch's bins; zero between batches
 };
+
+// The fold–merge identity needs every chunk partial's reservoir to
+// hold its whole chunk.
+static_assert(ipm::kMaxChunkEvents <=
+              stats::ReservoirSampler::kDefaultCapacity);
 
 static_assert(Kernel<SummarySink>);
 static_assert(Kernel<PhaseSummarySink>);

@@ -1,16 +1,18 @@
 // The one analysis driver: run_kernels feeds a kernel (summary sink,
 // streaming histogram, rate builder — or a KernelSet fusing several)
 // from exactly one trace scan. Indexed (v3) traces go through a
-// ParallelTraceScanner kernel-set map-reduce: one kernel per chunk,
-// folded by worker threads and merged in chunk order. Results are
-// deterministic in the scanner contract's sense — identical for every
-// --jobs value — and match the serial streaming path exactly wherever
-// the underlying kernel merges exactly (counts, extrema, histogram
-// bins, rate bins, reservoirs below capacity). Moments match to
-// FP-merge rounding; quantiles past reservoir capacity are sampled
-// estimates from the merged reservoirs — still identical for every
-// --jobs value (see chunk_summary_options), but not bit-equal to the
-// serial path's sample.
+// ParallelTraceScanner kernel-set scan: at one thread every chunk folds
+// in place into the first admitted chunk's kernel; at more, one kernel
+// per chunk is folded by worker threads and merged in chunk order. The
+// fold–merge identity (statistics contract v2, core/kernel.h) makes the
+// two bit-identical, so results are identical for every --jobs value.
+// They match the serial streaming path exactly wherever the underlying
+// kernel is exact (counts, extrema, histogram bins, reservoirs below
+// capacity); moments and rate bins match to FP rounding, since batches
+// fold as merges. Past reservoir capacity, quantiles are sampled
+// estimates drawn from the substream of the first admitted chunk's
+// kernel (see chunk_summary_options) — identical for every --jobs
+// value, but not bit-equal to the serial path's sample.
 #pragma once
 
 #include <cstddef>
@@ -28,7 +30,9 @@ namespace eio::analysis {
 /// Summary options for one chunk of a parallel scan: chunk c's
 /// reservoir draws from substream_seed(base seed, c), so the sample is
 /// a function of the trace and options alone — never of worker
-/// scheduling. Serial (non-indexed) passes use chunk 0.
+/// scheduling. Only the first admitted chunk's seed ever draws: later
+/// partials stay exact and are absorbed under it. Serial (non-indexed)
+/// passes use chunk 0.
 [[nodiscard]] inline stats::SummaryOptions chunk_summary_options(
     const stats::SummaryOptions& base, std::size_t chunk) {
   stats::SummaryOptions per_chunk = base;

@@ -41,6 +41,11 @@ void RateSeriesBuilder::merge(const RateSeriesBuilder& other) {
   }
 }
 
+void RateSeriesBuilder::drain_into(RateSeriesBuilder& into) {
+  into.merge(*this);
+  std::fill(series_.values.begin(), series_.values.end(), 0.0);
+}
+
 TimeSeries aggregate_rate(const ipm::Trace& trace, const EventFilter& filter,
                           std::size_t bins) {
   RateSeriesBuilder builder(trace.span(), bins);

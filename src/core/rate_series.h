@@ -76,6 +76,9 @@ class RateSeriesBuilder {
   /// — rates are linear, so partials merge exactly up to FP rounding).
   void merge(const RateSeriesBuilder& other);
 
+  /// into.merge(*this), then zero this builder's bins for reuse.
+  void drain_into(RateSeriesBuilder& into);
+
   [[nodiscard]] const TimeSeries& series() const noexcept { return series_; }
 
  private:

@@ -110,25 +110,35 @@ void PhaseSummarySink::add(const ipm::TraceEvent& event) {
   it->second.add(event.duration);
 }
 
-void PhaseSummarySink::flush_run(std::int32_t phase) {
-  auto it = by_phase_.try_emplace(phase, options_).first;
-  it->second.add_batch(scratch_);
-  scratch_.clear();
+PhaseSummarySink::Group& PhaseSummarySink::group_for(std::int32_t phase,
+                                                     std::size_t& used) {
+  for (std::size_t g = 0; g < used; ++g) {
+    if (groups_[g].phase == phase) return groups_[g];
+  }
+  if (used == groups_.size()) groups_.emplace_back();
+  Group& group = groups_[used++];
+  group.phase = phase;
+  group.durations.clear();
+  return group;
 }
 
 void PhaseSummarySink::add_batch(const ipm::ColumnBatch& batch) {
   // Traces are phase-runs by construction (each rank's events arrive
-  // phase by phase), so buffering per run turns the per-event map
-  // lookup + interleaved add into one lookup + one dense fold per run.
-  scratch_.clear();
-  std::int32_t run_phase = 0;
+  // phase by phase), so the group lookup reruns only where the label
+  // changes, and a batch holds a handful of phases.
+  std::size_t used = 0;
+  Group* current = nullptr;
   filter_.for_each_match(batch, [&](std::size_t i) {
-    std::int32_t phase = batch.phase[i];
-    if (!scratch_.empty() && phase != run_phase) flush_run(run_phase);
-    run_phase = phase;
-    scratch_.push_back(batch.duration[i]);
+    const std::int32_t phase = batch.phase[i];
+    if (current == nullptr || current->phase != phase) {
+      current = &group_for(phase, used);
+    }
+    current->durations.push_back(batch.duration[i]);
   });
-  if (!scratch_.empty()) flush_run(run_phase);
+  for (std::size_t g = 0; g < used; ++g) {
+    by_phase_.try_emplace(groups_[g].phase, options_)
+        .first->second.add_batch(groups_[g].durations);
+  }
 }
 
 void PhaseSummarySink::merge(const PhaseSummarySink& other) {

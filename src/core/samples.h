@@ -186,10 +186,10 @@ class SummarySink final : public ipm::EventSink {
   }
 
   /// Kernel entry point: fold a decoded column batch. Gathers the
-  /// matching durations densely, then feeds the summary one dense
-  /// span per sub-kernel — value-identical to add() per row (same
-  /// index-order sequence into every sub-kernel). The batch needs
-  /// required_columns() decoded.
+  /// matching durations densely, then feeds the summary ONE dense span
+  /// (StreamingSummary::add_batch) — so folding a batch here equals
+  /// merging a fresh sink that folded it (the fold–merge identity).
+  /// The batch needs required_columns() decoded.
   void add_batch(const ipm::ColumnBatch& batch) {
     scratch_.clear();
     scratch_.reserve(batch.size());
@@ -231,9 +231,10 @@ class PhaseSummarySink final : public ipm::EventSink {
   /// Kernel entry point: fold one event.
   void add(const ipm::TraceEvent& event);
   /// Kernel entry point: fold a decoded column batch. Matching
-  /// durations are buffered per run of equal phase labels and flushed
-  /// as dense spans — value-identical to add() per row, since each
-  /// phase's summary folds the same duration sequence.
+  /// durations are grouped by phase label, in row order, and each
+  /// phase's summary gets ONE add_batch per batch — however many runs
+  /// of that phase the batch holds — so folding a batch here equals
+  /// merging a fresh sink that folded it (the fold–merge identity).
   void add_batch(const ipm::ColumnBatch& batch);
 
   void on_event(const ipm::TraceEvent& event) override { add(event); }
@@ -244,10 +245,10 @@ class PhaseSummarySink final : public ipm::EventSink {
     return filter_.required_columns() | ipm::kColPhase | ipm::kColDuration;
   }
 
-  /// Fold another sink's per-phase summaries into this one. Phases
-  /// absent here adopt the other side's summary (reservoir substream
-  /// included), so the merged map is independent of how phases were
-  /// split across partials.
+  /// Fold another sink's per-phase summaries into this one. A phase
+  /// absent here starts from a fresh summary under this sink's options
+  /// and merges the other side's into it, exactly as add_batch would
+  /// have started it.
   void merge(const PhaseSummarySink& other);
 
   [[nodiscard]] const std::map<std::int32_t, stats::StreamingSummary>&
@@ -256,13 +257,19 @@ class PhaseSummarySink final : public ipm::EventSink {
   }
 
  private:
-  /// Feed the buffered run of durations to `phase`'s summary.
-  void flush_run(std::int32_t phase);
+  /// One phase's matching durations within the current batch.
+  struct Group {
+    std::int32_t phase = 0;
+    std::vector<double> durations;
+  };
+  /// The group of `phase` among groups_[0, used), claiming (and
+  /// clearing) the next reused slot when the batch has none yet.
+  Group& group_for(std::int32_t phase, std::size_t& used);
 
   EventFilter filter_;
   stats::SummaryOptions options_;
   std::map<std::int32_t, stats::StreamingSummary> by_phase_;
-  std::vector<double> scratch_;  ///< one run of same-phase durations
+  std::vector<Group> groups_;  ///< reused across batches
 };
 
 }  // namespace eio::analysis

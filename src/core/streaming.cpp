@@ -36,6 +36,29 @@ void StreamingMoments::merge(const StreamingMoments& other) {
   n_ += other.n_;
 }
 
+StreamingMoments StreamingMoments::of(std::span<const double> xs) {
+  EIO_CHECK(!xs.empty());
+  StreamingMoments m;
+  m.n_ = xs.size();
+  const double n = static_cast<double>(m.n_);
+  const double shift = xs[0];
+  double sum = 0.0;
+  for (double x : xs) sum += x - shift;
+  m.mean_ = shift + sum / n;
+  double m2 = 0.0, m3 = 0.0, m4 = 0.0;
+  for (double x : xs) {
+    const double d = x - m.mean_;
+    const double d2 = d * d;
+    m2 += d2;
+    m3 += d2 * d;
+    m4 += d2 * d2;
+  }
+  m.m2_ = m2;
+  m.m3_ = m3;
+  m.m4_ = m4;
+  return m;
+}
+
 Moments StreamingMoments::moments() const {
   Moments m;
   m.count = n_;
@@ -60,28 +83,19 @@ ReservoirSampler::ReservoirSampler(std::size_t capacity, std::uint64_t seed)
   EIO_CHECK_MSG(capacity >= 1, "reservoir needs capacity >= 1");
 }
 
-EmpiricalDistribution ReservoirSampler::distribution() const {
-  return EmpiricalDistribution(samples_);
-}
-
 void ReservoirSampler::merge(const ReservoirSampler& other) {
   EIO_CHECK_MSG(capacity_ == other.capacity_,
                 "reservoir merge needs matching capacities: "
                     << capacity_ << " vs " << other.capacity_);
   if (other.seen_ == 0) return;
-  if (seen_ == 0) {
-    // Adopt the other side wholesale, substream included, so merging
-    // into a fresh reservoir reproduces the other exactly.
-    *this = other;
-    return;
-  }
   if (other.exact()) {
     // The other side still holds every value it saw, in stream order —
     // so this sampler continues over it via the absorb() contract
-    // (identical to per-element add()s). While the combined count fits
-    // the capacity this is a pure concatenation (the merged sample is
-    // the exact combined stream); past capacity the skip-gap machinery
-    // takes over. Chunk-sized partials always take this path.
+    // (identical to per-element add()s), empty or not. While the
+    // combined count fits the capacity this is a pure concatenation
+    // (the merged sample is the exact combined stream); past capacity
+    // the skip-gap machinery takes over. Chunk-sized partials always
+    // take this path.
     absorb(other.samples_);
     return;
   }
@@ -140,7 +154,22 @@ double StreamingSummary::max() const {
 
 double StreamingSummary::quantile(double q) const {
   EIO_CHECK(!empty());
-  return reservoir_.distribution().quantile(q);
+  EIO_CHECK_MSG(q >= 0.0 && q <= 1.0, "quantile out of range: " << q);
+  // EmpiricalDistribution::quantile reads sorted[lo] and sorted[hi];
+  // select them instead: nth_element puts the lo-th order statistic at
+  // lo and every larger one after it, so sorted[lo + 1] is the least
+  // of the upper part. Same values, same interpolation, same bits.
+  std::vector<double> v = reservoir_.samples();
+  if (v.size() == 1) return v[0];
+  double pos = q * static_cast<double>(v.size() - 1);
+  auto lo = static_cast<std::size_t>(pos);
+  std::size_t hi = std::min(lo + 1, v.size() - 1);
+  double frac = pos - static_cast<double>(lo);
+  auto lo_it = v.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(v.begin(), lo_it, v.end());
+  double a = *lo_it;
+  double b = hi == lo ? a : *std::min_element(lo_it + 1, v.end());
+  return a * (1.0 - frac) + b * frac;
 }
 
 }  // namespace eio::stats

@@ -6,7 +6,8 @@
 // bounded state per sample stream:
 //
 //  * StreamingMoments: mean/variance/skewness/kurtosis via the
-//    Welford/Pébay incremental central-moment updates;
+//    Welford/Pébay incremental central-moment updates per value, and
+//    one Pébay merge of two-pass batch moments per span;
 //  * ReservoirSampler: Vitter's Algorithm X — a uniform sample of
 //    bounded size, *exact* (every value retained) until the capacity
 //    is exceeded, so quantiles/CDFs/KS inputs computed from it are
@@ -55,11 +56,16 @@ class StreamingMoments {
     m2_ += term1;
   }
 
-  /// Fold a dense sample span (a decoded column) in index order — the
-  /// identical update sequence as calling add() per element, so batch
-  /// and per-event feeds agree bit for bit.
+  /// Fold a dense sample span (a decoded column) as ONE merge: the
+  /// span's own central moments come from two passes (a shifted mean,
+  /// then the central power sums — no per-element divide) and are
+  /// Pébay-merged in. That is bit for bit merge() of a fresh
+  /// accumulator that add_batch()ed the same span — the fold–merge
+  /// identity (statistics contract v2, DESIGN.md §5h) that lets a scan
+  /// fold chunks in place. Not bit-identical to add() per element;
+  /// add() stays Welford for the per-event simulate-time sinks.
   void add_batch(std::span<const double> xs) {
-    for (double x : xs) add(x);
+    if (!xs.empty()) merge(of(xs));
   }
 
   /// Combine with another accumulator (Pébay's pairwise update) —
@@ -73,6 +79,11 @@ class StreamingMoments {
   [[nodiscard]] Moments moments() const;
 
  private:
+  /// The central moments of one non-empty span, two-pass. The mean is
+  /// shifted by the first element, so a constant span has a mean equal
+  /// to that constant and zero central moments.
+  [[nodiscard]] static StreamingMoments of(std::span<const double> xs);
+
   std::size_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
@@ -99,6 +110,13 @@ class StreamingMoments {
 /// (one index draw per record), so sampled quantiles past capacity
 /// differ run-to-run across versions — deterministically so within a
 /// version. The exact regime (seen() <= capacity) is unchanged.
+///
+/// Every draw comes from this reservoir's own substream: merge() never
+/// adopts the other side's, not even into an empty reservoir. So
+/// add_batch(b) equals merge() of a fresh, still exact reservoir that
+/// add_batch()ed b, whatever its seed — the fold–merge identity a
+/// chunk scan relies on (chunks are bounded by the default capacity,
+/// ipm::kMaxChunkEvents, so a chunk partial is always exact).
 class ReservoirSampler {
  public:
   explicit ReservoirSampler(std::size_t capacity = kDefaultCapacity,
@@ -170,13 +188,15 @@ class ReservoirSampler {
   /// absorb()s it — a pure concatenation while the combined seen()
   /// fits the capacity (the merged sample equals the serial one
   /// element for element when merges follow stream order), the skip-
-  /// gap continuation past it. When the other side has itself
-  /// overflowed, each output slot draws from one side with probability
-  /// proportional to that side's remaining stream weight (the weighted
-  /// Algorithm-R merge), so every stream element keeps an equal chance
-  /// of surviving; the pending gap is then re-drawn for the combined
-  /// count. Draws come from this reservoir's substream, so the result
-  /// is deterministic in (seeds, merge order).
+  /// gap continuation past it. This holds for an empty reservoir too:
+  /// it continues over the other side under its own seed. When the
+  /// other side has itself overflowed, each output slot draws from one
+  /// side with probability proportional to that side's remaining
+  /// stream weight (the weighted Algorithm-R merge), so every stream
+  /// element keeps an equal chance of surviving; the pending gap is
+  /// then re-drawn for the combined count. Draws come from this
+  /// reservoir's substream, so the result is deterministic in (seeds,
+  /// merge order).
   void merge(const ReservoirSampler& other);
 
   [[nodiscard]] std::uint64_t seen() const noexcept { return seen_; }
@@ -186,9 +206,6 @@ class ReservoirSampler {
   [[nodiscard]] const std::vector<double>& samples() const noexcept {
     return samples_;
   }
-
-  /// Sorted-copy view for quantile/CDF/KS queries.
-  [[nodiscard]] EmpiricalDistribution distribution() const;
 
  private:
   /// Draw the next skip gap (Vitter's Algorithm X search): one uniform
@@ -249,11 +266,10 @@ class StreamingSummary {
     reservoir_.add(x);
   }
 
-  /// Fold a dense sample span (a decoded column) in index order —
-  /// value-identical to add() per element: each sub-kernel folds the
-  /// same sequence, just as one dense pass per kernel instead of one
-  /// interleaved pass per element, which keeps each kernel's state in
-  /// registers across the span.
+  /// Fold a dense sample span (a decoded column) in index order, one
+  /// dense pass per sub-kernel: the same count, extrema and samples as
+  /// add() per element; the moments fold as one merge
+  /// (StreamingMoments::add_batch).
   void add_batch(std::span<const double> xs) {
     if (xs.empty()) return;
     double lo = xs[0], hi = xs[0];
@@ -276,6 +292,8 @@ class StreamingSummary {
   /// merge exactly; the reservoir merges per
   /// ReservoirSampler::merge (exact below capacity). Partials must be
   /// merged in stream order for reservoir exactness to carry over.
+  /// add_batch(xs) equals merge() of a fresh summary that add_batch()ed
+  /// xs, while xs fits the reservoir capacity (the fold–merge identity).
   void merge(const StreamingSummary& other);
 
   [[nodiscard]] std::size_t count() const noexcept { return moments_.count(); }
@@ -286,7 +304,9 @@ class StreamingSummary {
   [[nodiscard]] const ReservoirSampler& reservoir() const noexcept {
     return reservoir_;
   }
-  /// Quantile from the reservoir (exact while the reservoir is exact).
+  /// Quantile from the reservoir (exact while the reservoir is exact):
+  /// EmpiricalDistribution::quantile's interpolation, bit for bit, but
+  /// by selecting the two order statistics it needs instead of sorting.
   [[nodiscard]] double quantile(double q) const;
   [[nodiscard]] double median() const { return quantile(0.5); }
 

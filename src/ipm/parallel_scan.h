@@ -8,7 +8,9 @@
 // pool (the same claim-by-atomic-index pattern as
 // workloads::ParallelEnsembleRunner), decodes chunks concurrently,
 // folds each chunk into its own partial, and merges partials on the
-// calling thread in ascending chunk order.
+// calling thread in ascending chunk order. With one worker there is
+// nothing to merge: the first admitted chunk's partial is made once and
+// every admitted chunk folds into it in place.
 //
 // Decode: chunks are decoded straight out of one shared read-only
 // MappedFile (every worker reads the same immutable pages — no locks,
@@ -19,11 +21,14 @@
 // Determinism contract: the partial built for chunk c depends only on
 // chunk c (per-chunk reservoir seeds come from the chunk index), and
 // the merge sequence is always chunk 0, 1, 2, ... regardless of which
-// worker folded what first. A scan is therefore byte-identical for
-// every jobs value, including jobs=1 — "--jobs 1 == serial" holds by
-// construction, not by tolerance. Column order equals event order, so
-// a fold over the columns performs the same operation sequence as a
-// fold over the rows of the same chunk.
+// worker folded what first. The in-place fold of one worker equals
+// that merge sequence by the fold–merge identity every analysis kernel
+// keeps (statistics contract v2, core/kernel.h): folding a chunk into
+// the running result is bit-identical to merging a fresh partial that
+// folded it. A kernel scan is therefore byte-identical for every jobs
+// value — by construction, not by tolerance. Column order equals event
+// order, so a fold over the columns performs the same operation
+// sequence as a fold over the rows of the same chunk.
 //
 // Memory contract: workers may run at most merge_window chunks ahead
 // of the merge frontier, so at most O(jobs + merge_window) partials
@@ -122,6 +127,10 @@ class ParallelTraceScanner {
   /// materialized; unmasked columns are never decoded nor copied.
   /// Returns the merged Partial; make(0) when no chunk is admitted. The
   /// first worker exception is rethrown after the pool drains.
+  ///
+  /// One worker folds every admitted chunk into make(first admitted
+  /// chunk) and never calls merge, so results agree across jobs values
+  /// only when fold and merge keep the fold–merge identity.
   template <typename Make, typename Fold, typename Merge>
   [[nodiscard]] auto scan_columns(const Make& make, const Fold& fold,
                                   const Merge& merge,
@@ -145,17 +154,12 @@ class ParallelTraceScanner {
 
     std::size_t workers = std::min(jobs_, picks.size());
     if (workers <= 1) {
-      // Same per-chunk partial + ordered merge as the parallel path,
-      // on one thread — the determinism contract's base case.
+      // One partial, every chunk folded in place: by the fold–merge
+      // identity this is the parallel path's ordered merge, minus the
+      // per-chunk partials and merges.
       ChunkReader reader = make_reader();
       Partial result = make(picks[0]);
-      produce(reader, result, picks[0]);
-      for (std::size_t k = 1; k < picks.size(); ++k) {
-        Partial p = make(picks[k]);
-        produce(reader, p, picks[k]);
-        OBS_SPAN("scan.merge_partial");
-        merge(result, std::move(p));
-      }
+      for (std::size_t chunk : picks) produce(reader, result, chunk);
       return result;
     }
 
@@ -232,8 +236,9 @@ class ParallelTraceScanner {
   /// the analysis::Kernel concept (one kernel or a whole KernelSet);
   /// ONE decode of each admitted chunk — restricted to the union
   /// column mask the set reports — feeds every kernel in it, and
-  /// partials merge member-wise in chunk order. This is the fused
-  /// single-pass driver behind every eiotrace analysis subcommand.
+  /// partials merge member-wise in chunk order (or, on one worker,
+  /// every chunk folds in place). This is the fused single-pass driver
+  /// behind every eiotrace analysis subcommand.
   template <typename Make>
   [[nodiscard]] auto scan_kernels(const Make& make,
                                   const ChunkHint* hint = nullptr) const

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "common/check.h"
 #include "ipm/wire.h"
@@ -40,13 +41,12 @@ constexpr ColumnMask kColBit[kNumCols] = {
     kColFile,  kColOffset,   kColBytes, kColPhase,
 };
 
-// Caps on self-declared sizes in chunk records, so corrupt input
-// fails with runtime_error instead of a multi-gigabyte allocation. A
-// varint value is at most 10 bytes; RLE adds at most one control byte
-// per 128 literals, and expands at most 65-fold (a 2-byte block
-// repeats a byte 130 times), so a decoded column never outgrows the
-// bytes it was read from by more than that.
-constexpr std::uint64_t kMaxChunkEvents = std::uint64_t{1} << 28;
+// Caps on self-declared sizes in chunk records (with kMaxChunkEvents),
+// so corrupt input fails with runtime_error instead of a large
+// allocation. A varint value is at most 10 bytes; RLE adds at most one
+// control byte per 128 literals, and expands at most 65-fold (a 2-byte
+// block repeats a byte 130 times), so a decoded column never outgrows
+// the bytes it was read from by more than that.
 constexpr std::uint64_t kMaxRleExpansion = 65;
 [[nodiscard]] std::uint64_t max_col_bytes(std::uint64_t count) {
   return count * 16 + 64;
@@ -262,6 +262,10 @@ TraceWriterV3::TraceWriterV3(std::ostream& out, std::string experiment,
                              std::uint32_t ranks, Options options)
     : out_(&out), options_(options) {
   if (options_.chunk_events == 0) options_.chunk_events = 1;
+  EIO_CHECK_MSG(options_.chunk_events <= kMaxChunkEvents,
+                "v3 chunk_events " << options_.chunk_events
+                                   << " exceeds the limit of "
+                                   << kMaxChunkEvents);
   buffer_.reserve(options_.chunk_events);
   wire::write_header(out, ranks, experiment);
 }
@@ -402,6 +406,16 @@ TraceIndex read_index_v3(std::span<const char> image) {
         "corrupt trace: footer does not follow the header");
   }
   for (std::size_t i = 0; i < chunks.size(); ++i) {
+    if (chunks[i].events > kMaxChunkEvents) {
+      std::string what = "corrupt trace: chunk ";
+      what += std::to_string(i);
+      what += " declares ";
+      what += std::to_string(chunks[i].events);
+      what += " events (limit ";
+      what += std::to_string(kMaxChunkEvents);
+      what += ")";
+      throw std::runtime_error(what);
+    }
     const std::uint64_t at = chunks[i].offset;
     if (i == 0 && at != header_end) {
       throw std::runtime_error(

@@ -51,6 +51,13 @@
 
 namespace eio::ipm {
 
+/// Most events one chunk may hold. The writer refuses a larger
+/// chunk_events and read_index_v3 rejects a footer declaring one. It
+/// equals the default reservoir capacity, so a chunk partial's
+/// reservoir always holds its whole chunk — what the fold–merge
+/// identity of the analysis kernels needs (core/kernel.h).
+inline constexpr std::uint64_t kMaxChunkEvents = std::uint64_t{1} << 16;
+
 /// Streaming v3 writer; usable directly as a capture sink, so the
 /// monitor can emit an indexed trace file without ever materializing
 /// the event list. Chunk boundaries depend only on chunk_events, which
@@ -59,7 +66,8 @@ namespace eio::ipm {
 class TraceWriterV3 final : public EventSink {
  public:
   struct Options {
-    std::size_t chunk_events = 4096;  ///< events buffered per chunk
+    /// Events buffered per chunk, 1..kMaxChunkEvents (0 means 1).
+    std::size_t chunk_events = 4096;
     bool compress = true;  ///< RLE columns when it shrinks the payload
   };
 
@@ -102,7 +110,8 @@ class TraceWriterV3 final : public EventSink {
 /// buffered). Validates the header, trailer magic and footer bounds,
 /// and that the records tile the file: the first chunk (else the
 /// footer) starts where the header ends, chunk offsets strictly
-/// increase, and the footer ends exactly at the trailer. Together with
+/// increase, and the footer ends exactly at the trailer; no chunk may
+/// declare more than kMaxChunkEvents events. Together with
 /// decode_chunk_v3 consuming each chunk span exactly, no byte of the
 /// file goes unchecked.
 [[nodiscard]] TraceIndex read_index_v3(std::span<const char> image);

@@ -33,8 +33,10 @@
 // kernel is "rooted" and evaluates detectors as events stream through
 // it; later-chunk partials buffer the (rare) admissible events and
 // replay them, in stream order, when merged — so merging per-chunk
-// partials in chunk order is value-identical to one serial pass, and
-// the incident log is byte-identical for any --jobs value and across
+// partials in chunk order is value-identical to one serial pass (and
+// to folding every chunk into the rooted kernel in place, which is
+// what a one-thread scan does: nothing is buffered there), and the
+// incident log is byte-identical for any --jobs value and across
 // tsv/v3 encodings of the same values.
 #pragma once
 

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -77,6 +78,34 @@ class EiotraceTest : public ::testing::Test {
     std::string path = testutil::temp_path(".v3");
     std::ofstream out(path, std::ios::binary);
     ipm::TraceWriterV3 w(out, t.experiment(), t.ranks(), {.chunk_events = 16});
+    for (const ipm::TraceEvent& e : t.events()) w.add(e);
+    w.finish();
+    return path;
+  }
+
+  /// ~160k events as a v3 file in default-size (4096-event) chunks:
+  /// chunk 0 holds only writes, later reads and writes interleave
+  /// (both past the reservoir capacity), phases 2 and 3 start at event
+  /// 20,000 (and pass the capacity too), and OST 3 runs slow in the
+  /// middle so a monitored analyze has incidents to report.
+  static std::string write_past_capacity() {
+    ipm::Trace t("past-capacity", 16);
+    rng::Stream r(0xcafe);
+    for (std::size_t i = 0; i < 160000; ++i) {
+      ipm::TraceEvent e;
+      e.start = 1e-3 * static_cast<double>(i);
+      e.duration = 0.01 * r.noise(0.3);
+      e.op = i < 4096 || r.uniform() < 0.5 ? OpType::kWrite : OpType::kRead;
+      e.rank = static_cast<RankId>(i % 16);
+      e.file = 1 + static_cast<FileId>((i * 7) % 24);
+      e.bytes = 1 * MiB;
+      e.phase = static_cast<std::int32_t>((i / 37) % 2 + (i < 20000 ? 0 : 2));
+      if ((e.file - 1) % 8 == 3 && i > 60000 && i < 120000) e.duration *= 4;
+      t.add(e);
+    }
+    std::string path = testutil::temp_path(".v3");
+    std::ofstream out(path, std::ios::binary);
+    ipm::TraceWriterV3 w(out, t.experiment(), t.ranks());
     for (const ipm::TraceEvent& e : t.events()) w.add(e);
     w.finish();
     return path;
@@ -478,6 +507,31 @@ TEST_F(EiotraceTest, AnalyzeIsByteIdenticalAcrossJobsAndFormats) {
   std::remove(v3.c_str());
 }
 
+TEST_F(EiotraceTest, AnalyzeIsByteIdenticalAcrossJobsPastReservoirCapacity) {
+  // One worker folds chunks in place, more merge per-chunk partials;
+  // the JSON (sampled quantiles included) must not tell them apart.
+  const std::string v3 = write_past_capacity();
+  for (bool monitored : {false, true}) {
+    std::vector<std::string> args{"analyze", v3, "--json", "--jobs=1"};
+    if (monitored) {
+      args.emplace_back("--monitor");
+      args.emplace_back("--ost-count=8");
+    }
+    auto [rc, base, err] = run(args);
+    ASSERT_EQ(rc, 0) << err;
+    if (monitored) {
+      EXPECT_NE(base.find("\"degraded-ost\""), std::string::npos);
+    }
+    for (const char* jobs : {"--jobs=2", "--jobs=4"}) {
+      args[3] = jobs;
+      auto [rc2, out2, err2] = run(args);
+      EXPECT_EQ(rc2, 0) << err2;
+      EXPECT_EQ(out2, base) << jobs << (monitored ? " --monitor" : "");
+    }
+  }
+  std::remove(v3.c_str());
+}
+
 TEST_F(EiotraceTest, AnalyzeEmptyFilterFails) {
   auto [rc, out, err] = run({"analyze", path_, "--op=fsync"});
   EXPECT_EQ(rc, 2);
@@ -522,6 +576,35 @@ TEST_F(EiotraceTest, EveryAnalysisSubcommandScansTheTraceExactlyOnce) {
         << cmd[0] << (cmd.size() > 3 ? " (parallel)" : "")
         << ": scanned=" << scanned << " skipped=" << skipped;
     EXPECT_GT(scanned, 0u) << cmd[0];
+  }
+  std::remove(v3.c_str());
+}
+
+TEST_F(EiotraceTest, OneWorkerScanFoldsInPlaceWithoutMerging) {
+  // At --jobs=1 every chunk folds into one kernel set: no per-chunk
+  // partial is merged. At --jobs=2 each chunk after the first merges
+  // once.
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const std::string v3 = write_chunked();
+  const std::size_t chunks = [&] {
+    ipm::FileTraceSource source(v3);
+    return source.index()->chunks.size();
+  }();
+  ASSERT_GE(chunks, 5u);
+  for (auto [jobs, merges] : {std::pair<const char*, std::size_t>{"--jobs=1", 0},
+                              {"--jobs=2", chunks - 1}}) {
+    auto [rc, out, err] = run({"analyze", v3, jobs, "--monitor", "--obs"});
+    ASSERT_EQ(rc, 0) << err;
+    const obs::Snapshot snap = obs::Registry::instance().snapshot();
+    std::uint64_t scanned = 0, merged = 0;
+    for (const obs::CounterValue& c : snap.counters) {
+      if (c.name == "scan.chunks_scanned") scanned = c.value;
+    }
+    for (const obs::LatencySummary& l : snap.latency) {
+      if (l.name == "scan.merge_partial") merged = l.moments.count;
+    }
+    EXPECT_EQ(scanned, chunks) << jobs;
+    EXPECT_EQ(merged, merges) << jobs;
   }
   std::remove(v3.c_str());
 }

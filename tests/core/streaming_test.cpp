@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -507,6 +508,67 @@ TEST(MergeKernelsTest, RateSeriesMergeMatchesSingleBuilder) {
           << t.experiment() << " bin " << i;
     }
   }
+}
+
+TEST(StreamingSummaryTest, QuantileSelectionMatchesSortedInterpolation) {
+  // quantile() selects the two order statistics it interpolates; it
+  // must return EmpiricalDistribution::quantile's value bit for bit,
+  // ties included.
+  rng::Stream rng(0x9a7);
+  for (std::size_t n : {1u, 2u, 3u, 65536u}) {
+    stats::StreamingSummary summary;
+    std::vector<double> xs;
+    for (std::size_t i = 0; i < n; ++i) {
+      // Coarse values, so large samples are full of ties.
+      xs.push_back(std::floor(rng.uniform() * 50.0) / 8.0);
+    }
+    if (n == 3) xs = {2.5, 0.5, 2.5};
+    summary.add_batch(xs);
+    ASSERT_TRUE(summary.reservoir().exact());
+    const stats::EmpiricalDistribution dist(xs);
+    for (double q : {0.0, 0.01, 0.5, 0.95, 0.99, 1.0}) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(summary.quantile(q)),
+                std::bit_cast<std::uint64_t>(dist.quantile(q)))
+          << "n=" << n << " q=" << q;
+    }
+  }
+}
+
+TEST(StreamingSummaryTest, ConstantBatchHasZeroSpread) {
+  // A batch folds as its own two-pass moments merged in; a constant
+  // batch must still give exactly its value as the mean and zero
+  // central moments (not rounding noise that skewness would amplify).
+  stats::StreamingSummary summary;
+  const std::vector<double> xs(1000, 0.1);
+  summary.add_batch(xs);
+  summary.add_batch(std::span<const double>(xs).first(7));
+  const stats::Moments m = summary.moments();
+  EXPECT_EQ(m.mean, 0.1);
+  EXPECT_EQ(m.variance, 0.0);
+  EXPECT_EQ(m.skewness, 0.0);
+  EXPECT_EQ(m.kurtosis_excess, 0.0);
+}
+
+TEST(MergeKernelsTest, MergeIntoEmptyReservoirDrawsFromItsOwnSeed) {
+  // An empty reservoir continues over an exact partial under its own
+  // seed — it never adopts the partial's substream — so merging equals
+  // folding the same values in place.
+  constexpr std::size_t kCap = 16;
+  std::vector<double> tail(10);
+  for (std::size_t i = 0; i < tail.size(); ++i) tail[i] = 1.0 * i;
+  stats::ReservoirSampler part(kCap, 7);
+  part.add_batch(tail);
+
+  stats::ReservoirSampler merged(kCap, 42);
+  merged.merge(part);
+  stats::ReservoirSampler folded(kCap, 42);
+  folded.add_batch(tail);
+  for (double x = 100.0; x < 400.0; x += 1.0) {
+    merged.add(x);
+    folded.add(x);
+  }
+  ASSERT_FALSE(merged.exact());
+  EXPECT_EQ(merged.samples(), folded.samples());
 }
 
 }  // namespace

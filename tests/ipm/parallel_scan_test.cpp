@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/parallel_analysis.h"
 #include "core/rate_series.h"
 #include "core/samples.h"
@@ -268,6 +270,74 @@ TEST(ParallelScanTest, ScanIsByteIdenticalForEveryJobsValue) {
       EXPECT_EQ(it->second.count(), summary.count());
       EXPECT_EQ(it->second.reservoir().samples(),
                 summary.reservoir().samples());
+    }
+  }
+  std::remove(path.c_str());
+}
+
+/// ~160k events in default-size (4096-event) chunks: chunk 0 holds
+/// only writes, and afterwards reads and writes interleave, so both
+/// streams pass the reservoir capacity and the read stream starts in
+/// chunk 1. Phases alternate 0/1 every 37 events, then 2/3 from event
+/// 20,000 on, so phases 2 and 3 also start late and overflow.
+ipm::Trace past_capacity_trace() {
+  ipm::Trace t("past-capacity", 16);
+  rng::Stream rng(0xcafe);
+  for (std::size_t i = 0; i < 160000; ++i) {
+    ipm::TraceEvent e;
+    e.start = 1e-3 * static_cast<double>(i);
+    e.duration = 0.01 * rng.noise(0.3);
+    e.op = i < 4096 || rng.uniform() < 0.5 ? posix::OpType::kWrite
+                                           : posix::OpType::kRead;
+    e.rank = static_cast<RankId>(i % 16);
+    e.file = 1;
+    e.bytes = 1 * MiB;
+    e.phase = static_cast<std::int32_t>((i / 37) % 2 + (i < 20000 ? 0 : 2));
+    t.add(e);
+  }
+  return t;
+}
+
+TEST(ParallelScanTest, ScanIsByteIdenticalPastReservoirCapacity) {
+  // The one-worker scan folds chunks in place, the others merge
+  // per-chunk partials; past reservoir capacity the samples still agree
+  // bit for bit, including the read stream whose first match is not in
+  // the first chunk.
+  const std::string path =
+      write_chunked(past_capacity_trace(), 4096, "past_capacity");
+  const EventFilter writes{.op = posix::OpType::kWrite};
+  const EventFilter reads{.op = posix::OpType::kRead};
+  auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  auto expect_same = [&](const stats::StreamingSummary& a,
+                         const stats::StreamingSummary& b) {
+    ASSERT_EQ(a.count(), b.count());
+    EXPECT_EQ(a.reservoir().samples(), b.reservoir().samples());
+    EXPECT_EQ(bits(a.moments().mean), bits(b.moments().mean));
+    EXPECT_EQ(bits(a.moments().variance), bits(b.moments().variance));
+    EXPECT_EQ(bits(a.moments().skewness), bits(b.moments().skewness));
+    EXPECT_EQ(bits(a.moments().kurtosis_excess),
+              bits(b.moments().kurtosis_excess));
+  };
+
+  ipm::ParallelTraceScanner reference(path, {.jobs = 1});
+  const stats::StreamingSummary base_w = scanned_summary(reference, writes);
+  const stats::StreamingSummary base_r = scanned_summary(reference, reads);
+  const auto base_phases = scanned_phases(reference, {});
+  ASSERT_FALSE(base_w.reservoir().exact());
+  ASSERT_FALSE(base_r.reservoir().exact());
+  ASSERT_FALSE(base_phases.at(2).reservoir().exact());
+
+  for (std::size_t jobs : {2u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "jobs=" << jobs);
+    ipm::ParallelTraceScanner scanner(path, {.jobs = jobs});
+    expect_same(scanned_summary(scanner, writes), base_w);
+    expect_same(scanned_summary(scanner, reads), base_r);
+    const auto phases = scanned_phases(scanner, {});
+    ASSERT_EQ(phases.size(), base_phases.size());
+    for (const auto& [phase, summary] : base_phases) {
+      auto it = phases.find(phase);
+      ASSERT_NE(it, phases.end());
+      expect_same(it->second, summary);
     }
   }
   std::remove(path.c_str());

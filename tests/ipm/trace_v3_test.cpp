@@ -558,10 +558,37 @@ TEST(TraceV3Test, AbsurdFooterChunkCountIsRejected) {
   expect_rejected_everywhere(out.str(), "corrupt trace: absurd chunk count");
 }
 
+TEST(TraceV3Test, OversizedChunkIsRejected) {
+  // A footer declaring one chunk one event past kMaxChunkEvents (the
+  // total adjusted to match) fails in the index, naming the chunk,
+  // before any chunk is decoded.
+  const std::string bytes = v3_bytes(sample_trace(48), 16);
+  TraceIndex index = read_index_v3(bytes);
+  ASSERT_EQ(index.chunks.size(), 3u);
+  std::ostringstream out(std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(index.footer_offset));
+  index.chunks[1].events = kMaxChunkEvents + 1;
+  wire::write_footer(out, index.chunks, 16 + (kMaxChunkEvents + 1) + 16);
+  expect_rejected_everywhere(
+      out.str(), "corrupt trace: chunk 1 declares 65537 events (limit 65536)");
+}
+
+TEST(TraceV3Test, WriterRefusesChunksAboveTheLimit) {
+  std::ostringstream out(std::ios::binary);
+  EXPECT_THROW(TraceWriterV3(out, "x", 1, {.chunk_events = kMaxChunkEvents + 1}),
+               std::logic_error);
+  std::ostringstream ok(std::ios::binary);
+  TraceWriterV3 writer(ok, "x", 1, {.chunk_events = kMaxChunkEvents});
+  writer.add(make_event(0.0, 1.0, posix::OpType::kWrite, 0, 4096));
+  writer.finish();
+  EXPECT_EQ(read_index_v3(ok.str()).chunks.size(), 1u);
+}
+
 TEST(TraceV3Test, DeclaredColumnSizesAreCheckedBeforeAllocating) {
-  // A chunk declaring 2^27 events in a few bytes must fail on its
-  // column sizes before the decoder sizes a column for that count.
-  const std::uint64_t n = std::uint64_t{1} << 27;
+  // A chunk declaring the most events a chunk may hold, in a few
+  // bytes, must fail on its column sizes before the decoder sizes a
+  // column for that count.
+  const std::uint64_t n = kMaxChunkEvents;
   ChunkMeta meta;
   meta.events = n;
   ColumnScratch scratch;
