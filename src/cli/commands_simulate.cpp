@@ -3,11 +3,16 @@
 // streaming SummarySink attached to each run's monitor, so without
 // --save-dir no trace is ever materialized (capture stays in profile
 // mode).
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "cli/commands.h"
@@ -73,6 +78,19 @@ int cmd_simulate(CommandContext& ctx) {
   if (save_fmt != "tsv" && save_fmt != "v3") {
     err << "eiotrace: unknown --format '" << save_fmt << "' (tsv|v3)\n";
     return 1;
+  }
+  // Make (or check) the output directory before simulating: a bad
+  // path fails now, not after the whole ensemble has run.
+  const std::string save_dir = args.get("save-dir", ".");
+  if (save) {
+    std::error_code ec;
+    std::filesystem::create_directories(save_dir, ec);
+    if (ec || !std::filesystem::is_directory(save_dir) ||
+        ::access(save_dir.c_str(), W_OK | X_OK) != 0) {
+      err << "eiotrace: cannot write traces to --save-dir '" << save_dir
+          << "'" << (ec ? ": " + ec.message() : std::string()) << "\n";
+      return 1;
+    }
   }
 
   workloads::JobSpec job = scenario.job();
@@ -205,9 +223,8 @@ int cmd_simulate(CommandContext& ctx) {
   }
 
   if (save) {
-    std::string dir = args.get("save-dir", ".");
     for (std::size_t i = 0; i < results.size(); ++i) {
-      std::string path = dir + "/run" + std::to_string(i);
+      std::string path = save_dir + "/run" + std::to_string(i);
       if (save_fmt == "v3") {
         path += ".v3";
         results[i].trace.save_binary_v3(path);

@@ -1,31 +1,32 @@
 // Discrete-event simulation engine.
 //
-// A binary-heap calendar of cancellable events, built for zero heap
-// allocations per event in steady state:
+// An indexed binary-heap calendar of cancellable events, built for
+// zero heap allocations per event in steady state:
 //
 //  - Actions are InlineFunction (fixed-size in-place captures; a
 //    too-large capture is a compile error, never a hidden allocation).
 //  - Live actions sit in a slot slab with a free list. An EventId
-//    packs (generation << 32) | (slot + 1); schedule, cancel, pending
-//    and step are O(1) array operations, and a stale heap entry is
-//    recognized by a generation mismatch instead of a hash probe.
+//    packs (generation << 32) | (slot + 1); pending is an O(1) bounds
+//    + generation check, so a recycled slot never answers to an old id.
+//  - Each heap entry carries its slot, and each slot records its
+//    entry's heap position, so cancel() removes the entry eagerly and
+//    reschedule() moves it in place (one O(log n) sift each). The heap
+//    holds exactly the live events: no dead entries, no compaction.
 //
-// Cancellation is lazy: the heap entry stays behind, but releasing the
-// slot bumps its generation, so popping skips it. When dead entries
-// outnumber live ones the heap is compacted in place, so churn-heavy
-// workloads (schedule/cancel loops like flow rescheduling) keep the
-// calendar bounded by the live event count instead of growing
-// monotonically. Events at equal times fire in scheduling order (FIFO
-// tie-break via a monotone sequence number carried in the heap entry —
-// recycled EventIds are not monotone), which keeps runs deterministic.
+// Events at equal times fire in scheduling order (FIFO tie-break via a
+// monotone sequence number carried in the heap entry — recycled
+// EventIds are not monotone). reschedule() takes a fresh sequence
+// number exactly as cancel + schedule_at would, so pop order — the
+// strict (when, seq) order — is the same under either; this keeps runs
+// deterministic.
 //
 // Generation counters are 32-bit and wrap modularly: an id could alias
 // a later event in the same slot only after 2^32 reuses of that slot
 // while the stale id is still held, which no simulation approaches.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -77,9 +78,8 @@ class Engine {
     Slot& s = slots_[slot];
     s.action = std::move(action);
     EventId id = pack(slot, s.generation);
-    heap_.push_back(Entry{when, ++next_seq_, id});
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    ++live_count_;
+    heap_.push_back(Entry{when, ++next_seq_, slot});
+    sift_up(heap_.size() - 1);
     return id;
   }
 
@@ -88,13 +88,38 @@ class Engine {
     return schedule_at(now_ + delay, std::move(action));
   }
 
-  /// Cancel a previously scheduled event. Returns true if the event was
-  /// still pending (false if it already ran or was cancelled).
+  /// Cancel a previously scheduled event, removing its calendar entry.
+  /// Returns true if the event was still pending (false if it already
+  /// ran or was cancelled).
   bool cancel(EventId id) {
     if (!pending(id)) return false;
-    release_slot(slot_of(id));
-    --live_count_;
-    maybe_compact();
+    std::uint32_t slot = slot_of(id);
+    remove_entry(slots_[slot].pos);
+    release_slot(slot);
+    return true;
+  }
+
+  /// Move a pending event to absolute time `when` (>= now), keeping its
+  /// id and action. It takes a fresh sequence number, so it fires
+  /// exactly when cancel + schedule_at(when, same action) would have
+  /// fired it. Returns false (and changes nothing) if `id` is not
+  /// pending.
+  bool reschedule(EventId id, Seconds when) {
+    if (!pending(id)) return false;
+    EIO_CHECK_MSG(when >= now_, "scheduling into the past: when=" << when
+                                                                  << " now=" << now_);
+    std::size_t pos = slots_[slot_of(id)].pos;
+    Entry& e = heap_[pos];
+    // The fresh seq is the largest yet, so only an earlier time can
+    // make the key smaller.
+    bool earlier = when < e.when;
+    e.when = when;
+    e.seq = ++next_seq_;
+    if (earlier) {
+      sift_up(pos);
+    } else {
+      sift_down(pos);
+    }
     return true;
   }
 
@@ -107,36 +132,28 @@ class Engine {
   }
 
   /// Number of live (not-yet-run, not-cancelled) events.
-  [[nodiscard]] std::size_t live_events() const noexcept { return live_count_; }
+  [[nodiscard]] std::size_t live_events() const noexcept { return heap_.size(); }
 
-  /// Number of calendar entries, live or cancelled-but-not-yet-reaped.
-  /// Compaction keeps this within 2x of live_events() (plus a small
-  /// constant below which compaction is not worth the scan).
+  /// Number of calendar entries. Cancel removes its entry eagerly, so
+  /// this always equals live_events().
   [[nodiscard]] std::size_t calendar_entries() const noexcept {
     return heap_.size();
   }
 
   /// Run a single event. Returns false if the calendar is empty.
   bool step() {
-    while (!heap_.empty()) {
-      Entry top = heap_.front();
-      pop_entry();
-      std::uint32_t slot = slot_of(top.id);
-      if (slots_[slot].generation != gen_of(top.id)) {
-        continue;  // cancelled — stale entry discarded
-      }
-      now_ = top.when;
-      // Move the action out and free the slot *before* invoking: the
-      // action may schedule (possibly reusing this slot or growing the
-      // slab) and the slot reference would not survive that.
-      Action action = std::move(slots_[slot].action);
-      release_slot(slot);
-      --live_count_;
-      ++events_run_;
-      action();
-      return true;
-    }
-    return false;
+    if (heap_.empty()) return false;
+    const Entry top = heap_.front();
+    remove_entry(0);
+    now_ = top.when;
+    // Move the action out and free the slot *before* invoking: the
+    // action may schedule (possibly reusing this slot or growing the
+    // slab) and the slot reference would not survive that.
+    Action action = std::move(slots_[top.slot].action);
+    release_slot(top.slot);
+    ++events_run_;
+    action();
+    return true;
   }
 
   /// Run until the calendar drains. Returns the final time.
@@ -151,16 +168,7 @@ class Engine {
 
   /// Run until the calendar drains or the clock passes `deadline`.
   Seconds run_until(Seconds deadline) {
-    while (!heap_.empty()) {
-      // Peek at the next live event's time without running it.
-      Entry top = heap_.front();
-      if (slots_[slot_of(top.id)].generation != gen_of(top.id)) {
-        pop_entry();
-        continue;
-      }
-      if (top.when > deadline) break;
-      step();
-    }
+    while (!heap_.empty() && heap_.front().when <= deadline) step();
     if (now_ < deadline) now_ = deadline;
     return now_;
   }
@@ -177,16 +185,18 @@ class Engine {
     Action action;
     std::uint32_t generation = 0;  ///< matches live ids; bumped on release
     std::uint32_t next_free = kNoSlot;
+    std::uint32_t pos = 0;         ///< heap_ index of this slot's entry while live
   };
 
   struct Entry {
     Seconds when;
-    std::uint64_t seq;  ///< monotone schedule order (FIFO tie-break)
-    EventId id;
-    // Min-heap by (time, schedule order).
-    [[nodiscard]] bool operator>(const Entry& o) const noexcept {
-      if (when != o.when) return when > o.when;
-      return seq > o.seq;
+    std::uint64_t seq;   ///< monotone schedule order (FIFO tie-break)
+    std::uint32_t slot;  ///< owning slot; its `pos` points back here
+    // Min-heap by (time, schedule order); seq is unique, so the order
+    // is strict and independent of the heap's shape.
+    [[nodiscard]] bool operator<(const Entry& o) const noexcept {
+      if (when != o.when) return when < o.when;
+      return seq < o.seq;
     }
   };
 
@@ -203,7 +213,7 @@ class Engine {
   }
 
   /// Return a slot to the free list; the generation bump invalidates
-  /// every outstanding id (and stale heap entry) pointing at it.
+  /// every outstanding id pointing at it.
   void release_slot(std::uint32_t slot) {
     Slot& s = slots_[slot];
     s.action.reset();
@@ -212,35 +222,59 @@ class Engine {
     free_head_ = slot;
   }
 
-  /// Pop the root of the min-heap.
-  void pop_entry() {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  /// Write `e` at heap index `pos` and point its slot back at it.
+  void place(std::size_t pos, const Entry& e) {
+    heap_[pos] = e;
+    slots_[e.slot].pos = static_cast<std::uint32_t>(pos);
+  }
+
+  /// Move the entry at `pos` toward the root until its parent is
+  /// smaller (hole-based: one write per level).
+  void sift_up(std::size_t pos) {
+    const Entry e = heap_[pos];
+    while (pos > 0) {
+      std::size_t parent = (pos - 1) / 2;
+      if (!(e < heap_[parent])) break;
+      place(pos, heap_[parent]);
+      pos = parent;
+    }
+    place(pos, e);
+  }
+
+  /// Move the entry at `pos` toward the leaves until both children are
+  /// larger.
+  void sift_down(std::size_t pos) {
+    const Entry e = heap_[pos];
+    const std::size_t n = heap_.size();
+    for (;;) {
+      std::size_t child = 2 * pos + 1;
+      if (child >= n) break;
+      if (child + 1 < n && heap_[child + 1] < heap_[child]) ++child;
+      if (!(heap_[child] < e)) break;
+      place(pos, heap_[child]);
+      pos = child;
+    }
+    place(pos, e);
+  }
+
+  /// Remove the entry at heap index `pos`: the last entry fills the
+  /// hole and sifts whichever way restores the heap.
+  void remove_entry(std::size_t pos) {
+    const Entry last = heap_.back();
     heap_.pop_back();
+    if (pos == heap_.size()) return;
+    heap_[pos] = last;
+    if (pos > 0 && last < heap_[(pos - 1) / 2]) {
+      sift_up(pos);
+    } else {
+      sift_down(pos);
+    }
   }
-
-  /// Reap cancelled entries once they exceed the live ones. Linear in
-  /// the heap, but amortized O(1) per cancel: a compaction halves the
-  /// heap, so the next one needs at least that many new dead entries.
-  void maybe_compact() {
-    if (heap_.size() < kCompactMinEntries) return;
-    if (heap_.size() - live_count_ <= live_count_) return;
-    OBS_COUNTER_ADD("sim.calendar_compactions", 1);
-    OBS_COUNTER_ADD("sim.calendar_entries_reaped", heap_.size() - live_count_);
-    std::erase_if(heap_, [this](const Entry& e) {
-      return slots_[slot_of(e.id)].generation != gen_of(e.id);
-    });
-    std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  }
-
-  /// Below this calendar size compaction is not worth the scan.
-  static constexpr std::size_t kCompactMinEntries = 64;
 
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_run_ = 0;
-  std::size_t live_count_ = 0;
-  // Min-heap via std::*_heap with std::greater (see Entry::operator>).
-  std::vector<Entry> heap_;
+  std::vector<Entry> heap_;  ///< min-heap of exactly the live events
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
 };

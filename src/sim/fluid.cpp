@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/registry.h"
+
 namespace eio::sim {
 
 ConcurrencyPolicy::ConcurrencyPolicy(std::vector<Choice> cs)
@@ -184,6 +186,14 @@ std::uint32_t FluidNetwork::find_or_make_group(Ost& ost, NodeId node) {
   return gi;
 }
 
+void FluidNetwork::refresh_ost_shares(Ost& ost) {
+  std::size_t clients = ost.order.size();
+  if (clients == 0) return;
+  double eff = contention_.efficiency(static_cast<std::uint32_t>(clients));
+  ost.node_slice = ost.capacity * eff / static_cast<double>(clients);
+  for (std::uint32_t gi : ost.order) refresh_group_share(ost, ost.groups[gi]);
+}
+
 void FluidNetwork::grant(Flow& f) {
   EIO_CHECK(!f.granted);
   f.granted = true;
@@ -194,8 +204,15 @@ void FluidNetwork::grant(Flow& f) {
   f.group_idx.reserve(f.osts.size());
   for (OstId o : f.osts) {
     Ost& ost = osts_[o];
+    std::size_t clients = ost.order.size();
     std::uint32_t gi = find_or_make_group(ost, f.node);
-    ost.groups[gi].ids.push_back(f.id);
+    Group& g = ost.groups[gi];
+    g.ids.push_back(f.id);
+    if (ost.order.size() != clients) {
+      refresh_ost_shares(ost);  // a new client re-slices the OST
+    } else {
+      refresh_group_share(ost, g);
+    }
     f.group_idx.push_back(gi);
     ++ost.flow_count;
   }
@@ -223,6 +240,9 @@ void FluidNetwork::release_resources(Flow& f) {
         ost.order.erase(oit);
         g.next_free = ost.free_head;
         ost.free_head = gi;
+        refresh_ost_shares(ost);  // one client fewer re-slices the OST
+      } else {
+        refresh_group_share(ost, g);
       }
       --ost.flow_count;
     }
@@ -263,14 +283,9 @@ Rate FluidNetwork::compute_rate(const Flow& f) const {
 
   Rate ost_total = 0.0;
   for (std::size_t i = 0; i < f.osts.size(); ++i) {
-    const Ost& ost = osts_[f.osts[i]];
-    std::size_t clients = ost.order.size();
-    EIO_DCHECK(clients >= 1);
-    double eff = contention_.efficiency(static_cast<std::uint32_t>(clients));
-    Rate node_slice = ost.capacity * eff / static_cast<double>(clients);
-    const Group& g = ost.groups[f.group_idx[i]];
+    const Group& g = osts_[f.osts[i]].groups[f.group_idx[i]];
     EIO_DCHECK(!g.ids.empty());
-    ost_total += node_slice / static_cast<double>(g.ids.size());
+    ost_total += g.share;
   }
   ost_total *= f.ost_efficiency;
 
@@ -278,25 +293,34 @@ Rate FluidNetwork::compute_rate(const Flow& f) const {
 }
 
 void FluidNetwork::reschedule(Flow& f) {
-  if (f.completion != kInvalidEvent) {
+  if (f.rate <= 0.0) {  // waiting flows have no completion event
     engine_.cancel(f.completion);
     f.completion = kInvalidEvent;
+    return;
   }
-  if (f.rate <= 0.0) return;  // waiting flows have no completion event
-  Seconds eta = f.remaining / f.rate;
+  // Moving the pending completion takes a fresh seq, as cancel +
+  // schedule_at would, so equal-time completions keep their FIFO order.
+  Seconds when = engine_.now() + f.remaining / f.rate;
+  if (engine_.reschedule(f.completion, when)) return;
   FlowId id = f.id;
-  f.completion = engine_.schedule_in(eta, [this, id] { complete_flow(id); });
+  f.completion = engine_.schedule_at(when, [this, id] { complete_flow(id); });
 }
 
-void FluidNetwork::refresh(Flow& f) {
+bool FluidNetwork::refresh(Flow& f) {
   settle(f);
   Rate rate = compute_rate(f);
   // If the rate is unchanged, the pending completion event is still
   // exact (settle advanced last_update by exactly rate*dt), so the
-  // cancel+reschedule churn can be skipped.
-  if (rate == f.rate && f.completion != kInvalidEvent) return;
+  // reschedule can be skipped.
+  if (rate == f.rate && f.completion != kInvalidEvent) return false;
   f.rate = rate;
   reschedule(f);
+  return true;
+}
+
+void FluidNetwork::count_refreshes(std::uint64_t refreshed, std::uint64_t changed) {
+  OBS_COUNTER_ADD("sim.flow_refreshes", refreshed);
+  OBS_COUNTER_ADD("sim.flow_rate_changes", changed);
 }
 
 void FluidNetwork::recompute_touching(NodeId node, const std::vector<OstId>& osts) {
@@ -305,6 +329,8 @@ void FluidNetwork::recompute_touching(NodeId node, const std::vector<OstId>& ost
   // scan is cheaper than gathering per-resource lists.
   std::size_t touched = nodes_[node].granted.size();
   for (OstId o : osts) touched += osts_[o].flow_count;
+  std::uint64_t refreshed = 0;
+  std::uint64_t changed = 0;
   if (touched >= granted_count_) {
     // Canonical refresh order: flow creation order, i.e. the active
     // list front to back. The order flows are refreshed in fixes the
@@ -313,17 +339,21 @@ void FluidNetwork::recompute_touching(NodeId node, const std::vector<OstId>& ost
     // defined order, not an accident of hash-map iteration.
     for (std::uint32_t s = active_head_; s != kNoIndex; s = flow_slots_[s].next) {
       Flow& f = flow_slots_[s].f;
-      if (f.granted) refresh(f);
+      if (!f.granted) continue;
+      ++refreshed;
+      changed += refresh(f) ? 1 : 0;
     }
+    count_refreshes(refreshed, changed);
     return;
   }
 
   ++epoch_;
-  auto visit = [this](FlowId id) {
+  auto visit = [this, &refreshed, &changed](FlowId id) {
     Flow& f = resolve(id);
     if (f.visit_epoch == epoch_) return;
     f.visit_epoch = epoch_;
-    refresh(f);
+    ++refreshed;
+    changed += refresh(f) ? 1 : 0;
   };
   for (FlowId id : nodes_[node].granted) visit(id);
   // Per-OST groups visited in ascending node order (the `order` index
@@ -335,6 +365,7 @@ void FluidNetwork::recompute_touching(NodeId node, const std::vector<OstId>& ost
       for (FlowId id : ost.groups[gi].ids) visit(id);
     }
   }
+  count_refreshes(refreshed, changed);
 }
 
 void FluidNetwork::complete_flow(FlowId id) {
@@ -396,6 +427,7 @@ void FluidNetwork::set_ost_capacity(OstId ost, Rate capacity) {
   EIO_CHECK(ost < osts_.size());
   EIO_CHECK(capacity > 0.0);
   osts_[ost].capacity = capacity;
+  refresh_ost_shares(osts_[ost]);
   recompute_touching_ost(ost);
 }
 
@@ -406,11 +438,13 @@ void FluidNetwork::recompute_touching_ost(OstId ost) {
   // its floating-point remaining-bytes trajectory). Groups come out in
   // ascending node order — the canonical order.
   const Ost& o = osts_[ost];
+  std::uint64_t changed = 0;
   for (std::uint32_t gi : o.order) {
     for (FlowId id : o.groups[gi].ids) {
-      refresh(resolve(id));
+      changed += refresh(resolve(id)) ? 1 : 0;
     }
   }
+  count_refreshes(o.flow_count, changed);
 }
 
 }  // namespace eio::sim

@@ -33,6 +33,19 @@
 // by node id, replacing the previous hash map; recomputes walk groups
 // in ascending node order (canonical) and released slots retain their
 // vector capacities for reuse.
+//
+// Shares are cached where they change, not recomputed per flow: each
+// OST keeps `node_slice = capacity × eff(clients) / clients`, and each
+// of its groups keeps `share = node_slice / flows in the group`. A new
+// or emptied group (a client-count change) and a capacity change
+// refresh the OST's slice and all its group shares; a flow joining or
+// leaving an existing group refreshes that group's share. compute_rate
+// then sums cached shares in stripe order. The cached doubles come
+// from the very expressions compute_rate used to evaluate, so rates —
+// and every trace — are bit-identical to recomputing them per flow.
+//
+// A rate change moves the flow's pending completion event in place
+// (Engine::reschedule), so the calendar holds one entry per flow.
 #pragma once
 
 #include <cstdint>
@@ -118,6 +131,8 @@ struct FlowSpec {
   FlowCallback on_complete;      ///< fired when bytes drain
 };
 
+class FluidNetworkTestPeer;
+
 /// The network of NICs and OSTs carrying fluid flows.
 class FluidNetwork {
  public:
@@ -175,6 +190,8 @@ class FluidNetwork {
   [[nodiscard]] std::size_t ost_count() const noexcept { return osts_.size(); }
 
  private:
+  friend class FluidNetworkTestPeer;
+
   static constexpr std::uint32_t kNoIndex = 0xffffffffu;
 
   struct Flow {
@@ -221,11 +238,13 @@ class FluidNetwork {
   struct Group {
     NodeId node = 0;
     std::vector<FlowId> ids;
+    Rate share = 0.0;  ///< cached node_slice / ids.size()
     std::uint32_t next_free = kNoIndex;
   };
 
   struct Ost {
     Rate capacity = 0.0;
+    Rate node_slice = 0.0;  ///< cached capacity × eff(clients) / clients
     std::vector<Group> groups;          ///< slab; indices are stable
     std::vector<std::uint32_t> order;   ///< live groups, sorted by node
     std::uint32_t free_head = kNoIndex; ///< group slab free list
@@ -263,6 +282,13 @@ class FluidNetwork {
   /// Index into ost.groups for `node`'s group, creating (slab reuse
   /// first) and splicing into the sorted order vector if absent.
   std::uint32_t find_or_make_group(Ost& ost, NodeId node);
+  /// Recompute the OST's cached node_slice and every live group's
+  /// share. Runs whenever the client count or the capacity changes.
+  void refresh_ost_shares(Ost& ost);
+  /// Recompute one group's cached share after its flow count changed.
+  static void refresh_group_share(const Ost& ost, Group& g) {
+    g.share = ost.node_slice / static_cast<double>(g.ids.size());
+  }
 
   void grant(Flow& f);
   void release_resources(Flow& f);
@@ -276,8 +302,12 @@ class FluidNetwork {
   /// phantom node walk or the temp OST vector. (Not an overload of
   /// recompute_touching: NodeId and OstId are both std::uint32_t.)
   void recompute_touching_ost(OstId ost);
-  /// Settle one flow, recompute its rate and reschedule completion.
-  void refresh(Flow& f);
+  /// Settle one flow, recompute its rate and, if it changed, move its
+  /// completion. Returns true when the rate changed.
+  bool refresh(Flow& f);
+  /// Add one recompute's totals to the sim.flow_refreshes and
+  /// sim.flow_rate_changes counters (once per call, never per flow).
+  static void count_refreshes(std::uint64_t refreshed, std::uint64_t changed);
   void settle(Flow& f);
   [[nodiscard]] Rate compute_rate(const Flow& f) const;
   void reschedule(Flow& f);

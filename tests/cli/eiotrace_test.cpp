@@ -356,6 +356,33 @@ TEST_F(EiotraceTest, SimulateSavesTraces) {
   std::filesystem::remove_all(dir);
 }
 
+TEST_F(EiotraceTest, SimulateCreatesAMissingSaveDir) {
+  std::string dir = testutil::temp_path() + "/nested/traces";
+  auto [rc, out, err] = run({"simulate", "--runs=1", "--tasks=8",
+                             "--block-mib=8", "--segments=1",
+                             "--save-dir=" + dir});
+  EXPECT_EQ(rc, 0) << err;
+  EXPECT_TRUE(std::filesystem::exists(dir + "/run0.tsv"));
+  std::filesystem::remove_all(testutil::temp_path());
+}
+
+TEST_F(EiotraceTest, SimulateUnwritableSaveDirFailsBeforeAnyRun) {
+  // A directory cannot be made under a regular file (this holds for
+  // root too), so the check must fail before the first run, naming
+  // the path, instead of after the ensemble when the traces are saved.
+  std::string file = testutil::temp_path(".file");
+  { std::ofstream(file) << "x"; }
+  std::string dir = file + "/traces";
+  auto [rc, out, err] = run({"simulate", "--runs=2", "--tasks=8",
+                             "--block-mib=8", "--segments=1",
+                             "--save-dir=" + dir});
+  EXPECT_NE(rc, 0);
+  EXPECT_NE(err.find(dir), std::string::npos) << err;
+  EXPECT_EQ(out.find("simulating"), std::string::npos) << out;
+  EXPECT_EQ(out.find("median(s)"), std::string::npos) << out;
+  std::remove(file.c_str());
+}
+
 TEST_F(EiotraceTest, SimulateRejectsUnknownMachine) {
   auto [rc, out, err] = run({"simulate", "--machine=bluegene"});
   EXPECT_EQ(rc, 1);

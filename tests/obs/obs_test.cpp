@@ -260,6 +260,35 @@ TEST_F(ObsTest, MetricsCountersAreIdenticalAcrossJobs) {
   EXPECT_NE(sections[0].find("v3.events_decoded"), std::string::npos);
 }
 
+/// A counter's value in a metrics JSON report (0 if absent).
+std::uint64_t counter_value(const std::string& json, const std::string& name) {
+  std::string needle = "\"" + name + "\":";
+  auto pos = counters_section(json).find(needle);
+  if (pos == std::string::npos) return 0;
+  return std::stoull(counters_section(json).substr(pos + needle.size()));
+}
+
+TEST_F(ObsTest, SimulatorFlowCountersArePinnedAcrossJobs) {
+  // The fluid network's recompute counters count work: the same seeded
+  // ensemble refreshes the same flows at any --jobs. slow_ost.json
+  // drives both recompute paths (flow arrivals/completions and the
+  // OST capacity windows of its fault plan). The exact values pin the
+  // recompute cascade: a change that refreshes more or fewer flows, or
+  // moves more or fewer completions, shows up here.
+  const std::string scen =
+      std::string(EIO_SOURCE_DIR) + "/examples/scenarios/slow_ost.json";
+  for (const char* jobs : {"--jobs=1", "--jobs=2"}) {
+    std::string metrics = dir_ + "/sim_" + (jobs + 7) + ".json";
+    auto [rc, out, err] = run({"simulate", "--scenario=" + scen, "--runs=2",
+                               jobs, "--metrics", metrics});
+    ASSERT_EQ(rc, 0) << err;
+    std::string json = read_file(metrics);
+    EXPECT_EQ(counter_value(json, "sim.events_run"), 4906u) << jobs;
+    EXPECT_EQ(counter_value(json, "sim.flow_refreshes"), 3076u) << jobs;
+    EXPECT_EQ(counter_value(json, "sim.flow_rate_changes"), 1843u) << jobs;
+  }
+}
+
 TEST_F(ObsTest, MetricsTsvAndVersionCommand) {
   std::string tsv = dir_ + "/metrics.tsv";
   auto [rc, out, err] = run({"simulate", "--runs=1", "--tasks=8",

@@ -4,8 +4,8 @@
 // versions (which is why it lives in its own test target) and asserts
 // the acceptance criterion of the calendar/flow-store overhaul
 // directly: after a warm-up pass has grown every slab and heap to its
-// working size, Engine::schedule_in/cancel/step and the FluidNetwork
-// grant/complete paths perform ZERO heap allocations.
+// working size, Engine::schedule_in/cancel/reschedule/step and the
+// FluidNetwork grant/complete paths perform ZERO heap allocations.
 //
 // The fluid test tolerates exactly one allocation per started flow —
 // the test's own FlowSpec::osts stripe vector, built caller-side. Any
@@ -51,41 +51,35 @@ std::uint64_t allocs() { return g_news.load(std::memory_order_relaxed); }
 
 TEST(AllocGuardTest, EngineScheduleCancelStepChurnIsAllocationFree) {
   Engine e;
-  auto churn = [&e] {
-    // Timeout-heavy shape: schedule a batch, cancel most, run the
-    // survivors — exercises the freelist, the heap, and compaction.
+  // Timeout-heavy shape: schedule a batch, move every event twice (the
+  // flow-rate-change shape), cancel most, run the survivors — exercises
+  // the freelist, eager heap removal and in-place sifts. The
+  // bookkeeping vector is hoisted so that in the counting window the
+  // only allocations possible are the engine's.
+  std::vector<EventId> batch;
+  batch.reserve(64);
+  auto churn = [&e, &batch] {
     for (int round = 0; round < 100; ++round) {
-      std::vector<EventId> doomed;
-      doomed.reserve(64);
+      batch.clear();
+      for (int i = 0; i < 50; ++i) batch.push_back(e.schedule_in(1.0 + i, [] {}));
       for (int i = 0; i < 50; ++i) {
-        EventId id = e.schedule_in(1.0 + i, [] {});
-        if (i > 0) doomed.push_back(id);
+        e.reschedule(batch[static_cast<std::size_t>(i)], e.now() + 60.0 - i);
       }
-      for (EventId id : doomed) e.cancel(id);
+      for (EventId id : batch) e.reschedule(id, e.now() + 0.5);  // FIFO ties
+      for (std::size_t i = 1; i < batch.size(); ++i) e.cancel(batch[i]);
       while (e.step()) {
       }
     }
   };
   churn();  // warm-up: grows the slot slab and the heap
 
-  // Counting window: same churn shape, but with the bookkeeping
-  // vector hoisted so the only allocations possible are the engine's.
-  std::vector<EventId> doomed;
-  doomed.reserve(64);
   std::uint64_t before = allocs();
-  for (int round = 0; round < 100; ++round) {
-    doomed.clear();
-    for (int i = 0; i < 50; ++i) {
-      EventId id = e.schedule_in(1.0 + i, [] {});
-      if (i > 0) doomed.push_back(id);
-    }
-    for (EventId id : doomed) e.cancel(id);
-    while (e.step()) {
-    }
-  }
+  churn();
   std::uint64_t after = allocs();
   EXPECT_EQ(after - before, 0u)
-      << "engine schedule/cancel/step allocated in steady state";
+      << "engine schedule/reschedule/cancel/step allocated in steady state";
+  EXPECT_EQ(e.live_events(), 0u);
+  EXPECT_EQ(e.events_run(), 200u);
 }
 
 TEST(AllocGuardTest, FluidGrantCompletePathIsAllocationFree) {

@@ -3,9 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
-
-#include "obs/registry.h"
 
 namespace eio::sim {
 
@@ -169,10 +168,10 @@ TEST(EngineTest, ZeroDelayEventRunsAtCurrentTime) {
 }
 
 TEST(EngineTest, CalendarStaysBoundedUnderScheduleCancelChurn) {
-  // Lazy cancellation must not let dead heap entries accumulate: the
+  // Cancelled events must not let heap entries accumulate: the
   // timeout-heavy protocols (readahead timers, retry guards) schedule
-  // and cancel constantly. Compaction keeps the calendar within a
-  // constant factor of the live set.
+  // and cancel constantly. Eager removal keeps the calendar at exactly
+  // the live set, well inside this historical bound.
   Engine e;
   for (int round = 0; round < 200; ++round) {
     std::vector<EventId> doomed;
@@ -194,8 +193,9 @@ TEST(EngineTest, CompactionPreservesOrderAndFifo) {
   Engine e;
   std::vector<int> order;
   std::vector<EventId> doomed;
-  // Interleave survivors with a large doomed population so compaction
-  // definitely triggers, then check ordering semantics survive it.
+  // Interleave survivors with a large doomed population, so eager
+  // removal reshapes the heap many times, then check ordering
+  // semantics survive it.
   for (int i = 0; i < 500; ++i) {
     doomed.push_back(e.schedule_at(2.0, [] {}));
   }
@@ -284,37 +284,165 @@ TEST(EngineTest, SlotGenerationWraparoundIsModular) {
   EXPECT_TRUE(c_ran);
 }
 
-TEST(EngineTest, CompactionObsCountersAccurateUnderFreelist) {
-  // sim.calendar_entries_reaped must account for every dead entry that
-  // compaction removed: with no events executed, dead entries are only
-  // created by cancel() and only destroyed by compaction, so
-  //   reaped == cancels - (calendar_entries - live_events).
-  obs::set_enabled(true);
-  obs::Registry::instance().reset();
+TEST(EngineTest, CalendarHoldsOnlyLiveEntries) {
+  // Cancel removes its entry and reschedule moves it, so the calendar
+  // never holds a dead entry, whatever the mix of operations.
   Engine e;
-  std::size_t cancels = 0;
-  for (int round = 0; round < 50; ++round) {
-    std::vector<EventId> doomed;
-    for (int i = 0; i < 40; ++i) {
-      EventId id = e.schedule_at(1e6 + round * 40.0 + i, [] {});
-      if (i > 0) doomed.push_back(id);
+  std::uint64_t x = 0x2545F4914F6CDD1DULL;
+  auto next = [&x] {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return x >> 33;
+  };
+  std::vector<EventId> ids;
+  for (int op = 0; op < 20000; ++op) {
+    std::uint64_t r = next();
+    switch (r % 5) {
+      case 0:
+      case 1:
+        ids.push_back(
+            e.schedule_at(e.now() + static_cast<double>(next() % 1000), [] {}));
+        break;
+      case 2:
+        if (!ids.empty()) e.cancel(ids[next() % ids.size()]);
+        break;
+      case 3:
+        if (!ids.empty()) {
+          e.reschedule(ids[next() % ids.size()],
+                       e.now() + static_cast<double>(next() % 1000));
+        }
+        break;
+      default:
+        e.step();
+        break;
     }
-    for (EventId id : doomed) e.cancel(id);
-    cancels += doomed.size();
+    ASSERT_EQ(e.calendar_entries(), e.live_events()) << "op " << op;
   }
-  obs::Snapshot snap = obs::Registry::instance().snapshot();
-  obs::set_enabled(false);
+  std::size_t live = 0;
+  for (EventId id : ids) live += e.pending(id) ? 1 : 0;
+  EXPECT_EQ(e.live_events(), live);
+  e.run();
+  EXPECT_EQ(e.calendar_entries(), 0u);
+}
 
-  std::uint64_t compactions = 0;
-  std::uint64_t reaped = 0;
-  for (const auto& c : snap.counters) {
-    if (c.name == "sim.calendar_compactions") compactions = c.value;
-    if (c.name == "sim.calendar_entries_reaped") reaped = c.value;
+TEST(EngineTest, RescheduleEarlierRunsSooner) {
+  Engine e;
+  std::vector<int> order;
+  e.schedule_at(2.0, [&] { order.push_back(2); });
+  EventId id = e.schedule_at(5.0, [&] { order.push_back(5); });
+  EXPECT_TRUE(e.reschedule(id, 1.0));
+  EXPECT_TRUE(e.pending(id));
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{5, 2}));
+  EXPECT_DOUBLE_EQ(e.now(), 2.0);
+}
+
+TEST(EngineTest, RescheduleLaterRunsAfter) {
+  Engine e;
+  std::vector<double> seen;
+  EventId id = e.schedule_at(1.0, [&] { seen.push_back(e.now()); });
+  e.schedule_at(2.0, [&] { seen.push_back(e.now()); });
+  EXPECT_TRUE(e.reschedule(id, 3.0));
+  e.run();
+  EXPECT_EQ(seen, (std::vector<double>{2.0, 3.0}));
+  EXPECT_EQ(e.events_run(), 2u);
+}
+
+TEST(EngineTest, RescheduleToEqualTimeTakesAFreshFifoPlace) {
+  // Moving an event to a time other events already hold queues it
+  // behind them, exactly as cancel + schedule_at would — even when the
+  // time does not change at all.
+  Engine e;
+  std::vector<int> order;
+  EventId a = e.schedule_at(1.0, [&] { order.push_back(0); });
+  e.schedule_at(1.0, [&] { order.push_back(1); });
+  EventId c = e.schedule_at(4.0, [&] { order.push_back(2); });
+  e.schedule_at(1.0, [&] { order.push_back(3); });
+  EXPECT_TRUE(e.reschedule(a, 1.0));  // same time: to the back
+  EXPECT_TRUE(e.reschedule(c, 1.0));  // earlier: behind a
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 0, 2}));
+}
+
+TEST(EngineTest, RescheduleOfStaleOrFiredIdReturnsFalse) {
+  Engine e;
+  EventId fired = e.schedule_at(1.0, [] {});
+  EventId cancelled = e.schedule_at(2.0, [] {});
+  EXPECT_TRUE(e.cancel(cancelled));
+  EXPECT_TRUE(e.step());
+  EXPECT_FALSE(e.reschedule(fired, 3.0));
+  EXPECT_FALSE(e.reschedule(cancelled, 3.0));
+  EXPECT_FALSE(e.reschedule(kInvalidEvent, 3.0));
+  // A stale id must not move the slot's new tenant.
+  bool ran = false;
+  EventId tenant = e.schedule_at(5.0, [&] { ran = true; });
+  ASSERT_EQ(EngineTestPeer::slot_index(tenant),
+            EngineTestPeer::slot_index(fired));
+  EXPECT_FALSE(e.reschedule(fired, 9.0));
+  EXPECT_EQ(e.live_events(), 1u);
+  e.run();
+  EXPECT_TRUE(ran);
+  EXPECT_DOUBLE_EQ(e.now(), 5.0);
+}
+
+TEST(EngineTest, RescheduleIntoThePastThrows) {
+  Engine e;
+  EventId id = e.schedule_at(5.0, [] {});
+  e.run_until(2.0);
+  EXPECT_THROW(e.reschedule(id, 1.0), std::logic_error);
+  EXPECT_TRUE(e.pending(id));
+}
+
+TEST(EngineTest, RescheduleMatchesCancelPlusScheduleAt) {
+  // Differential: two engines see the same seeded script of schedules,
+  // moves, cancels and steps; one moves events with reschedule, the
+  // other with cancel + schedule_at of the same action. Both must pop
+  // the same (time, action) sequence. Coarse times force many ties, so
+  // the FIFO sequence numbers are exercised as well as the times.
+  using Log = std::vector<std::pair<double, int>>;
+  struct Side {
+    Engine e;
+    Log log;
+    std::vector<EventId> ids;  ///< by action tag
+  };
+  Side by_move;
+  Side by_cancel;
+  auto action = [](Side& d, int tag) {
+    return [&d, tag] { d.log.emplace_back(d.e.now(), tag); };
+  };
+  std::uint64_t x = 99;
+  auto next = [&x] {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return x >> 33;
+  };
+  int tags = 0;
+  for (int op = 0; op < 5000; ++op) {
+    std::uint64_t r = next() % 8;
+    double when = by_move.e.now() + static_cast<double>(next() % 16);
+    if (r < 3 || tags == 0) {
+      by_move.ids.push_back(by_move.e.schedule_at(when, action(by_move, tags)));
+      by_cancel.ids.push_back(
+          by_cancel.e.schedule_at(when, action(by_cancel, tags)));
+      ++tags;
+    } else if (r < 6) {
+      auto tag = static_cast<int>(next() % static_cast<std::uint64_t>(tags));
+      auto t = static_cast<std::size_t>(tag);
+      bool moved = by_move.e.reschedule(by_move.ids[t], when);
+      bool live = by_cancel.e.cancel(by_cancel.ids[t]);
+      ASSERT_EQ(moved, live) << "op " << op;
+      if (live) {
+        by_cancel.ids[t] = by_cancel.e.schedule_at(when, action(by_cancel, tag));
+      }
+    } else if (r < 7) {
+      auto t = static_cast<std::size_t>(next() % static_cast<std::uint64_t>(tags));
+      ASSERT_EQ(by_move.e.cancel(by_move.ids[t]), by_cancel.e.cancel(by_cancel.ids[t]));
+    } else {
+      ASSERT_EQ(by_move.e.step(), by_cancel.e.step());
+    }
   }
-  EXPECT_GE(compactions, 1u) << "98% churn never triggered compaction";
-  std::size_t dead_in_heap = e.calendar_entries() - e.live_events();
-  EXPECT_EQ(reaped, cancels - dead_in_heap);
-  EXPECT_EQ(e.live_events(), 50u);
+  by_move.e.run();
+  by_cancel.e.run();
+  ASSERT_GT(by_move.log.size(), 1000u);
+  EXPECT_EQ(by_move.log, by_cancel.log);
 }
 
 }  // namespace
