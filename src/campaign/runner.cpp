@@ -6,6 +6,7 @@
 
 #include "campaign/json_out.h"
 #include "common/units.h"
+#include "core/kernel.h"
 #include "core/samples.h"
 #include "monitor/health.h"
 #include "workloads/ensemble.h"
@@ -30,17 +31,14 @@ std::string run_record(const workloads::RunPlan& plan,
   mopt.ost_count = scenario.machine_config().ost_count;
   mopt.stripe_size = scenario.machine_config().stripe_size;
   std::size_t runs = scenario.run_count();
-  std::vector<std::shared_ptr<analysis::SummarySink>> sinks(runs);
-  std::vector<std::shared_ptr<monitor::HealthSink>> monitors(runs);
-  job.sink_factory = [&sinks, &monitors, write_filter,
-                      mopt](std::size_t run_index)
+  using Capture =
+      analysis::KernelSet<analysis::SummarySink, monitor::HealthKernel>;
+  std::vector<std::shared_ptr<analysis::KernelSink<Capture>>> sinks(runs);
+  job.sink_factory = [&sinks, write_filter, mopt](std::size_t run_index)
       -> std::shared_ptr<ipm::EventSink> {
-    auto sink = std::make_shared<analysis::SummarySink>(write_filter);
-    auto health = std::make_shared<monitor::HealthSink>(mopt);
-    sinks[run_index] = sink;
-    monitors[run_index] = health;
-    return std::make_shared<ipm::FanoutSink>(
-        std::vector<std::shared_ptr<ipm::EventSink>>{sink, health});
+    sinks[run_index] = std::make_shared<analysis::KernelSink<Capture>>(Capture(
+        analysis::SummarySink(write_filter), monitor::HealthKernel(mopt)));
+    return sinks[run_index];
   };
 
   workloads::ParallelEnsembleRunner runner({.jobs = options.jobs});
@@ -62,7 +60,7 @@ std::string run_record(const workloads::RunPlan& plan,
     const workloads::RunResult& r = results[i];
     job_times.add(r.job_time);
     rates.add(r.reported_rate());
-    writes.merge(sinks[i]->summary());
+    writes.merge(sinks[i]->kernel().get<0>().summary());
     events += r.profile.total();
     const fault::Counts& fc = r.fault_counts;
     faults.ost_degradations += fc.ost_degradations;
@@ -74,7 +72,7 @@ std::string run_record(const workloads::RunPlan& plan,
     faults.retry_seconds += fc.retry_seconds;
     faults.straggler_stalls += fc.straggler_stalls;
     faults.straggler_seconds += fc.straggler_seconds;
-    monitor::HealthKernel& k = monitors[i]->kernel();
+    monitor::HealthKernel& k = sinks[i]->kernel().get<1>();
     k.finish();
     const monitor::Counts& mc = k.counts();
     health_counts.windows_evaluated += mc.windows_evaluated;

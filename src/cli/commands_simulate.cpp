@@ -1,8 +1,8 @@
 // `simulate` generates runs via the parallel ensemble runner instead
 // of loading a trace from disk. Per-run statistics come from a
-// streaming SummarySink attached to each run's monitor, so without
-// --save-dir no trace is ever materialized (capture stays in profile
-// mode).
+// SummarySink + HealthKernel set attached to each run's monitor, so
+// without --save-dir no trace is ever materialized (capture stays in
+// profile mode).
 #include <unistd.h>
 
 #include <cstdio>
@@ -18,10 +18,10 @@
 #include "cli/commands.h"
 #include "cli/helpers.h"
 #include "common/units.h"
+#include "core/kernel.h"
 #include "core/ks.h"
 #include "core/samples.h"
 #include "core/streaming.h"
-#include "ipm/sink.h"
 #include "monitor/health.h"
 #include "workloads/ensemble.h"
 #include "workloads/scenario.h"
@@ -100,22 +100,19 @@ int cmd_simulate(CommandContext& ctx) {
                                      .min_bytes = MiB};
   const bool monitored = args.has("monitor");
   monitor::HealthOptions mopt = monitor_options_from(args);
+  mopt.enabled = monitored;
   if (!args.has("ost-count")) {
     mopt.ost_count = scenario.machine_config().ost_count;
   }
   mopt.stripe_size = scenario.machine_config().stripe_size;
-  std::vector<std::shared_ptr<analysis::SummarySink>> sinks(runs);
-  std::vector<std::shared_ptr<monitor::HealthSink>> monitors(runs);
-  job.sink_factory = [&sinks, &monitors, write_filter, monitored,
-                      mopt](std::size_t run_index)
+  using Capture =
+      analysis::KernelSet<analysis::SummarySink, monitor::HealthKernel>;
+  std::vector<std::shared_ptr<analysis::KernelSink<Capture>>> sinks(runs);
+  job.sink_factory = [&sinks, write_filter, mopt](std::size_t run_index)
       -> std::shared_ptr<ipm::EventSink> {
-    auto sink = std::make_shared<analysis::SummarySink>(write_filter);
-    sinks[run_index] = sink;
-    if (!monitored) return sink;
-    auto health = std::make_shared<monitor::HealthSink>(mopt);
-    monitors[run_index] = health;
-    return std::make_shared<ipm::FanoutSink>(
-        std::vector<std::shared_ptr<ipm::EventSink>>{sink, health});
+    sinks[run_index] = std::make_shared<analysis::KernelSink<Capture>>(Capture(
+        analysis::SummarySink(write_filter), monitor::HealthKernel(mopt)));
+    return sinks[run_index];
   };
 
   const char* kind_label = "IOR";
@@ -154,7 +151,8 @@ int cmd_simulate(CommandContext& ctx) {
 
   out << "  run          job(s)    events    median(s)      p95(s)\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
-    const stats::StreamingSummary& s = sinks[i]->summary();
+    const stats::StreamingSummary& s =
+        sinks[i]->kernel().get<0>().summary();
     std::uint64_t events =
         save ? results[i].trace.size() : results[i].profile.total();
     char line[160];
@@ -189,7 +187,7 @@ int cmd_simulate(CommandContext& ctx) {
     std::vector<monitor::Incident> incidents;
     std::vector<std::uint64_t> incident_runs;
     for (std::size_t i = 0; i < results.size(); ++i) {
-      monitor::HealthKernel& k = monitors[i]->kernel();
+      monitor::HealthKernel& k = sinks[i]->kernel().get<1>();
       k.finish();
       const monitor::Counts& c = k.counts();
       char line[160];
@@ -213,8 +211,8 @@ int cmd_simulate(CommandContext& ctx) {
   for (std::size_t i = 0; i < sinks.size(); ++i) {
     for (std::size_t j = i + 1; j < sinks.size(); ++j) {
       stats::KsResult ks = stats::ks_two_sample(
-          sinks[i]->summary().reservoir().samples(),
-          sinks[j]->summary().reservoir().samples());
+          sinks[i]->kernel().get<0>().summary().reservoir().samples(),
+          sinks[j]->kernel().get<0>().summary().reservoir().samples());
       char line[120];
       std::snprintf(line, sizeof line, "  %zu vs %zu: D = %.4f (p = %.3f)\n",
                     i, j, ks.statistic, ks.p_value);

@@ -1,11 +1,12 @@
 // The mergeable-kernel contract behind fused single-pass analysis.
 //
 // Every statistic this repo computes over a trace is a fold that can
-// (a) consume one event, (b) consume a decoded column batch densely,
-// (c) merge with a partial fold of a disjoint stream segment, and
-// (d) name the columns it reads. That quadruple is the Kernel concept;
-// anything modeling it can ride ParallelTraceScanner's chunk map-reduce
-// (see ParallelTraceScanner::scan_kernels).
+// (a) consume a decoded column batch densely, (b) merge with a partial
+// fold of a disjoint stream segment, and (c) name the columns it reads.
+// That triple is the Kernel concept; anything modeling it can ride
+// ParallelTraceScanner's chunk map-reduce (see
+// ParallelTraceScanner::scan_kernels) and, through KernelSink, the IPM
+// monitor's capture batches.
 //
 // KernelSet composes kernels so ONE decode of each chunk feeds all of
 // them — the fused pass that collapses eiotrace's historical
@@ -17,6 +18,9 @@
 // bit for bit, folding it into a fresh partial and merging that in.
 // The scanner can therefore fold every chunk in place on one thread
 // and still match its own per-chunk partials + ordered merge on many.
+// Capture folds the same batches: the monitor cuts them where a
+// default v3 writer cuts chunks, so a kernel attached to a run ends
+// bit-identical to run_kernels over its saved v3 trace.
 #pragma once
 
 #include <concepts>
@@ -29,6 +33,7 @@
 #include "core/samples.h"
 #include "core/streaming.h"
 #include "ipm/columns.h"
+#include "ipm/sink.h"
 #include "ipm/trace_v3.h"
 
 namespace eio::analysis {
@@ -40,17 +45,13 @@ namespace eio::analysis {
 ///    ipm::kMaxChunkEvents rows, k.add_batch(b) leaves k bit-identical
 ///    to folding b into a fresh partial p (the factory's kernel for the
 ///    chunk b came from) and calling k.merge(std::move(p));
-///  * add(e) folds one event; it agrees with add_batch in value (same
-///    counts, extrema, samples), not necessarily in moment bits;
 ///  * merge(rhs) folds a partial computed over a LATER stream segment
 ///    into this one, and merging chunk partials in stream order equals
 ///    one serial pass (exactly where the kernel is exact, in
 ///    distribution otherwise — see ReservoirSampler);
 ///  * required_columns() covers every column add_batch reads.
 template <typename K>
-concept Kernel = requires(K k, K rhs, const K ck, const ipm::TraceEvent& e,
-                          const ipm::ColumnBatch& b) {
-  k.add(e);
+concept Kernel = requires(K k, K rhs, const K ck, const ipm::ColumnBatch& b) {
   k.add_batch(b);
   k.merge(std::move(rhs));
   { ck.required_columns() } -> std::convertible_to<ipm::ColumnMask>;
@@ -62,10 +63,6 @@ template <Kernel... Ks>
 class KernelSet {
  public:
   explicit KernelSet(Ks... kernels) : kernels_(std::move(kernels)...) {}
-
-  void add(const ipm::TraceEvent& e) {
-    std::apply([&](auto&... k) { (k.add(e), ...); }, kernels_);
-  }
 
   void add_batch(const ipm::ColumnBatch& b) {
     std::apply([&](auto&... k) { (k.add_batch(b), ...); }, kernels_);
@@ -113,10 +110,6 @@ class HistogramKernel {
                   const stats::StreamingHistogram::Options& options)
       : filter_(std::move(filter)), hist_(options) {}
 
-  void add(const ipm::TraceEvent& e) {
-    if (filter_.matches(e)) hist_.add(e.duration);
-  }
-
   void add_batch(const ipm::ColumnBatch& batch) {
     scratch_.clear();
     scratch_.reserve(batch.size());
@@ -149,10 +142,6 @@ class RateKernel {
   RateKernel(EventFilter filter, double span, std::size_t bins)
       : filter_(std::move(filter)), builder_(span, bins), local_(span, bins) {}
 
-  void add(const ipm::TraceEvent& e) {
-    if (filter_.matches(e)) builder_.add(e);
-  }
-
   /// Accumulates the batch into zeroed local bins and adds those in
   /// once — the sums merge() of a fresh kernel that folded the batch
   /// would add.
@@ -178,6 +167,23 @@ class RateKernel {
   EventFilter filter_;
   RateSeriesBuilder builder_;
   RateSeriesBuilder local_;  ///< one batch's bins; zero between batches
+};
+
+/// A kernel as a run's capture sink (JobSpec::sink_factory): the
+/// monitor's batches go straight to the kernel's add_batch.
+template <Kernel K>
+class KernelSink final : public ipm::EventSink {
+ public:
+  explicit KernelSink(K kernel) : kernel_(std::move(kernel)) {}
+
+  void add_batch(const ipm::ColumnBatch& batch) override {
+    kernel_.add_batch(batch);
+  }
+
+  [[nodiscard]] K& kernel() noexcept { return kernel_; }
+
+ private:
+  K kernel_;
 };
 
 // The fold–merge identity needs every chunk partial's reservoir to

@@ -6,13 +6,13 @@
 // per chunk is folded by worker threads and merged in chunk order. The
 // fold–merge identity (statistics contract v2, core/kernel.h) makes the
 // two bit-identical, so results are identical for every --jobs value.
-// They match the serial streaming path exactly wherever the underlying
-// kernel is exact (counts, extrema, histogram bins, reservoirs below
-// capacity); moments and rate bins match to FP rounding, since batches
-// fold as merges. Past reservoir capacity, quantiles are sampled
-// estimates drawn from the substream of the first admitted chunk's
-// kernel (see chunk_summary_options) — identical for every --jobs
-// value, but not bit-equal to the serial path's sample.
+// Non-indexed (TSV) sources fold 4,096-row batches, the chunks a
+// default v3 writer cuts. A run's capture kernel folds the same
+// batches (ipm/monitor.h), so capture-time statistics equal an
+// unhinted analysis of the run's saved v3 trace bit for bit. Past
+// reservoir capacity, quantiles are sampled estimates drawn from the
+// substream of the first admitted chunk's kernel (see
+// chunk_summary_options).
 #pragma once
 
 #include <cstddef>

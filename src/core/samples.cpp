@@ -104,12 +104,6 @@ std::vector<double> durations(const ipm::TraceSource& source,
   return out;
 }
 
-void PhaseSummarySink::add(const ipm::TraceEvent& event) {
-  if (!filter_.matches(event)) return;
-  auto it = by_phase_.try_emplace(event.phase, options_).first;
-  it->second.add(event.duration);
-}
-
 PhaseSummarySink::Group& PhaseSummarySink::group_for(std::int32_t phase,
                                                      std::size_t& used) {
   for (std::size_t g = 0; g < used; ++g) {

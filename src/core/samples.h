@@ -170,9 +170,9 @@ void for_each_matching(const ipm::TraceSource& source,
 [[nodiscard]] std::vector<double> durations(const ipm::TraceSource& source,
                                             const EventFilter& filter);
 
-/// EventSink folding filter-matched durations into a StreamingSummary
-/// (count/extrema/moments/reservoir) — the bounded-memory analysis
-/// attachment for monitors and ensemble runs.
+/// Kernel folding filter-matched durations into a StreamingSummary
+/// (count/extrema/moments/reservoir). Also a capture sink on its own,
+/// the bounded-memory attachment for monitors and ensemble runs.
 class SummarySink final : public ipm::EventSink {
  public:
   explicit SummarySink(EventFilter filter)
@@ -180,25 +180,18 @@ class SummarySink final : public ipm::EventSink {
   SummarySink(EventFilter filter, const stats::SummaryOptions& options)
       : filter_(std::move(filter)), summary_(options) {}
 
-  /// Kernel entry point: fold one event.
-  void add(const ipm::TraceEvent& event) {
-    if (filter_.matches(event)) summary_.add(event.duration);
-  }
-
   /// Kernel entry point: fold a decoded column batch. Gathers the
   /// matching durations densely, then feeds the summary ONE dense span
   /// (StreamingSummary::add_batch) — so folding a batch here equals
   /// merging a fresh sink that folded it (the fold–merge identity).
   /// The batch needs required_columns() decoded.
-  void add_batch(const ipm::ColumnBatch& batch) {
+  void add_batch(const ipm::ColumnBatch& batch) override {
     scratch_.clear();
     scratch_.reserve(batch.size());
     filter_.for_each_match(
         batch, [&](std::size_t i) { scratch_.push_back(batch.duration[i]); });
     summary_.add_batch(scratch_);
   }
-
-  void on_event(const ipm::TraceEvent& event) override { add(event); }
 
   /// Columns add_batch reads: the filter's plus the duration samples.
   [[nodiscard]] ipm::ColumnMask required_columns() const noexcept {
@@ -219,25 +212,21 @@ class SummarySink final : public ipm::EventSink {
   std::vector<double> scratch_;  ///< matching durations of one batch
 };
 
-/// EventSink grouping filter-matched durations by phase label — the
+/// Kernel grouping filter-matched durations by phase label — the
 /// streaming form of durations_by_phase (per-phase CDFs, Figure 5a).
-class PhaseSummarySink final : public ipm::EventSink {
+class PhaseSummarySink {
  public:
   explicit PhaseSummarySink(EventFilter filter)
       : PhaseSummarySink(std::move(filter), stats::SummaryOptions{}) {}
   PhaseSummarySink(EventFilter filter, const stats::SummaryOptions& options)
       : filter_(std::move(filter)), options_(options) {}
 
-  /// Kernel entry point: fold one event.
-  void add(const ipm::TraceEvent& event);
   /// Kernel entry point: fold a decoded column batch. Matching
   /// durations are grouped by phase label, in row order, and each
   /// phase's summary gets ONE add_batch per batch — however many runs
   /// of that phase the batch holds — so folding a batch here equals
   /// merging a fresh sink that folded it (the fold–merge identity).
   void add_batch(const ipm::ColumnBatch& batch);
-
-  void on_event(const ipm::TraceEvent& event) override { add(event); }
 
   /// Columns add_batch reads: the filter's, the phase labels it
   /// groups by, and the duration samples.

@@ -63,7 +63,7 @@ class StreamingMoments {
   /// accumulator that add_batch()ed the same span — the fold–merge
   /// identity (statistics contract v2, DESIGN.md §5h) that lets a scan
   /// fold chunks in place. Not bit-identical to add() per element;
-  /// add() stays Welford for the per-event simulate-time sinks.
+  /// add() stays Welford for scalar rollups, which no kernel uses.
   void add_batch(std::span<const double> xs) {
     if (!xs.empty()) merge(of(xs));
   }

@@ -1,29 +1,32 @@
 // The IPM-I/O monitor: interposed call recording.
 //
 // Attach a Monitor to the POSIX layer and it stamps every completed
-// call with the rank's current IPM region (phase) and emits it into a
-// chain of EventSinks. The built-in sinks match the paper's present
-// and future-work capture paradigms:
+// call with the rank's current IPM region (phase) and records it. The
+// capture modes match the paper's present and future-work paradigms:
 //
-//  * full tracing (default): a TraceSink keeps every event — "by
+//  * full tracing (default): the Trace keeps every event — "by
 //    default IPM-I/O emits the entire trace";
-//  * in-situ profiling (`Mode::kProfile`): a ProfileSink keeps only
+//  * in-situ profiling (`Mode::kProfile`): the Profile keeps only
 //    per-(op, size-bucket) duration histograms, the paper's proposed
 //    transition "from an I/O tracing paradigm to an I/O profiling
 //    paradigm".
 //
-// Callers can add further sinks (streaming statistics accumulators,
-// an indexed-file TraceWriterV3, ...) with add_sink(); every sink sees
-// each event exactly once, in completion order. The monitor also
-// accounts its own overhead (a fixed cost per intercepted call) so
-// the "lightweight" claim is checkable.
+// A monitor may also own one EventSink (in-situ statistics, health
+// monitoring, ...). It then appends each event to a column buffer cut
+// every TraceWriterV3::Options{}.chunk_events events and hands each
+// full batch, and the trailing partial one at finish(), to the sink's
+// add_batch — the batches a one-thread scan of the saved v3 trace
+// folds. The monitor also accounts its own overhead (a fixed cost per
+// intercepted call) so the "lightweight" claim is checkable.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/units.h"
+#include "ipm/columns.h"
 #include "ipm/profile.h"
 #include "ipm/sink.h"
 #include "ipm/trace.h"
@@ -48,7 +51,9 @@ class Monitor final : public posix::IoObserver {
   };
 
   Monitor();
-  explicit Monitor(Config config);
+  /// `sink` (may be null) receives every recorded call in batches; the
+  /// monitor owns it for as long as it may still flush.
+  explicit Monitor(Config config, std::shared_ptr<EventSink> sink = nullptr);
   ~Monitor() override;
 
   Monitor(const Monitor&) = delete;
@@ -62,13 +67,8 @@ class Monitor final : public posix::IoObserver {
   /// Set the IPM region subsequent events of `rank` are tagged with.
   void set_phase(RankId rank, std::int32_t phase);
 
-  /// Append a sink to the chain (non-owning; must outlive capture).
-  /// Added sinks receive every subsequent event after the built-ins.
-  void add_sink(EventSink* sink);
-
-  /// Capture is over: finish() every sink in the chain. Idempotent;
-  /// called by the destructor, but explicit calls are preferred for
-  /// sinks whose finish can fail (e.g. file writers).
+  /// Capture is over: hand the sink its trailing partial batch.
+  /// Idempotent; called by the destructor.
   void finish();
 
   /// IoObserver hook.
@@ -87,13 +87,14 @@ class Monitor final : public posix::IoObserver {
   }
 
  private:
+  void flush_batch();
+
   Config config_;
   posix::PosixIo* attached_ = nullptr;
   Trace trace_;
   Profile profile_;
-  TraceSink trace_sink_{trace_};
-  ProfileSink profile_sink_{profile_};
-  std::vector<EventSink*> sinks_;    ///< the dispatch chain
+  std::shared_ptr<EventSink> sink_;
+  ColumnScratch batch_;              ///< the sink's pending batch
   std::vector<std::int32_t> phase_;  ///< per-rank current region
   std::uint64_t intercepted_ = 0;
   bool finished_ = false;

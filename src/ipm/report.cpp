@@ -35,7 +35,7 @@ JobReportAccumulator::JobReportAccumulator(std::string experiment,
   bytes_per_rank_.assign(report_.ranks, 0.0);
 }
 
-void JobReportAccumulator::on_event(const TraceEvent& e) {
+void JobReportAccumulator::add(const TraceEvent& e) {
   report_.wall_time = std::max(report_.wall_time, e.end());
   CallStats& s = report_.by_op[e.op];
   ++s.count;

@@ -15,7 +15,6 @@
 
 #include "common/ids.h"
 #include "common/units.h"
-#include "ipm/sink.h"
 #include "ipm/trace.h"
 #include "ipm/trace_source.h"
 
@@ -66,17 +65,16 @@ struct JobReport {
   }
 };
 
-/// One-pass report builder: an EventSink folding each event into the
-/// per-op and per-rank aggregates. Memory is O(ranks + op types),
+/// One-pass report builder: folds each event into the per-op and
+/// per-rank aggregates. Memory is O(ranks + op types),
 /// independent of the event count — this is the kernel both summarize
 /// overloads wrap, so streaming and materialized reports are
 /// identical by construction.
-class JobReportAccumulator final : public EventSink {
+class JobReportAccumulator {
  public:
   JobReportAccumulator(std::string experiment, std::uint32_t ranks);
 
-  void on_event(const TraceEvent& event) override;
-  void add(const TraceEvent& event) { on_event(event); }
+  void add(const TraceEvent& event);
 
   /// The summary of everything seen so far.
   [[nodiscard]] JobReport report() const;

@@ -104,8 +104,9 @@ class TraceSource {
   virtual ~TraceSource() = default;
 
   /// Events shredded per columnar batch when a backing format has no
-  /// natural chunking (matches the v3 writer's default chunk size).
-  static constexpr std::size_t kDefaultBatchEvents = 4096;
+  /// natural chunking: the v3 writer's default chunk size.
+  static constexpr std::size_t kDefaultBatchEvents =
+      TraceWriterV3::Options{}.chunk_events;
 
   /// Job-level metadata (experiment name, rank count, event count when
   /// the backing format declares it).

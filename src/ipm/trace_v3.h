@@ -46,7 +46,6 @@
 
 #include "ipm/columns.h"
 #include "ipm/mapped_file.h"
-#include "ipm/sink.h"
 #include "ipm/trace_stream.h"
 
 namespace eio::ipm {
@@ -58,12 +57,13 @@ namespace eio::ipm {
 /// identity of the analysis kernels needs (core/kernel.h).
 inline constexpr std::uint64_t kMaxChunkEvents = std::uint64_t{1} << 16;
 
-/// Streaming v3 writer; usable directly as a capture sink, so the
-/// monitor can emit an indexed trace file without ever materializing
-/// the event list. Chunk boundaries depend only on chunk_events, which
-/// keeps chunk-partial analysis (per-chunk reservoir substreams, hint
-/// admission) a function of the events and this option alone.
-class TraceWriterV3 final : public EventSink {
+/// Streaming v3 writer: emits an indexed trace file one event at a
+/// time, without ever materializing the event list. Chunk boundaries
+/// depend only on chunk_events, which keeps chunk-partial analysis
+/// (per-chunk reservoir substreams, hint admission) a function of the
+/// events and this option alone; the default is also where the IPM
+/// monitor cuts its capture batches.
+class TraceWriterV3 {
  public:
   struct Options {
     /// Events buffered per chunk, 1..kMaxChunkEvents (0 means 1).
@@ -75,18 +75,17 @@ class TraceWriterV3 final : public EventSink {
                 std::uint32_t ranks);
   TraceWriterV3(std::ostream& out, std::string experiment,
                 std::uint32_t ranks, Options options);
-  ~TraceWriterV3() override;
+  ~TraceWriterV3();
 
   TraceWriterV3(const TraceWriterV3&) = delete;
   TraceWriterV3& operator=(const TraceWriterV3&) = delete;
 
   void add(const TraceEvent& event);
-  void on_event(const TraceEvent& event) override { add(event); }
 
   /// Flush the trailing chunk and write the footer index + trailer.
   /// Idempotent; called by the destructor if the caller forgot, but
   /// explicit calls are preferred (destructors swallow I/O errors).
-  void finish() override;
+  void finish();
 
   [[nodiscard]] std::uint64_t events_written() const noexcept {
     return total_events_;

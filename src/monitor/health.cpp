@@ -60,25 +60,10 @@ const char* incident_name(IncidentKind kind) noexcept {
 HealthKernel::HealthKernel(HealthOptions options, std::size_t chunk)
     : options_(std::move(options)), rooted_(chunk == 0) {}
 
-void HealthKernel::add(const ipm::TraceEvent& e) {
-  if (!options_.enabled) return;
-  const std::uint64_t idx = consumed_++;
-  const bool interesting =
-      e.op == posix::OpType::kFault ||
-      (is_data_op(e.op) && e.bytes >= options_.admission_bytes());
-  if (!interesting) return;
-  if (rooted_) {
-    process(e, idx);
-  } else {
-    buffered_.emplace_back(idx, e);
-  }
-}
-
 void HealthKernel::add_batch(const ipm::ColumnBatch& b) {
   if (!options_.enabled) return;
-  // Columnar fast path: the admission filter reads only op and bytes,
-  // so rejected rows (the common case on mixed traces) never
-  // materialize a row view. Same admission + indexing as add().
+  // The admission filter reads only op and bytes, so rejected rows
+  // (the common case on mixed traces) never materialize a row view.
   const Bytes admit = options_.admission_bytes();
   // One allocation per batch instead of a doubling chain: the chain's
   // freed blocks pile up at the heap top, and whether malloc then trims

@@ -5,8 +5,9 @@
 // times are stable and reproducible — so *deviation from the
 // distribution is a signal*. This module promotes the post-hoc
 // core/diagnose detectors into an online layer that watches the event
-// stream as it flows (through an EventSink during simulation, or as a
-// Kernel inside the chunk-parallel analysis scan) and emits typed
+// stream as it flows (as a Kernel fed the IPM monitor's capture
+// batches during simulation, or inside the chunk-parallel analysis
+// scan) and emits typed
 // Incident records while the pathology is happening:
 //
 //  * degraded-ost       — rolling per-OST-class medians vs the median
@@ -51,7 +52,6 @@
 #include "common/units.h"
 #include "core/kernel.h"
 #include "ipm/columns.h"
-#include "ipm/sink.h"
 #include "ipm/trace.h"
 
 namespace eio::json {
@@ -158,14 +158,16 @@ struct HealthOptions {
 /// The streaming health monitor as an analysis kernel (models
 /// analysis::Kernel; see the determinism contract above). Construct
 /// with chunk 0 for the rooted, immediately-evaluating instance — the
-/// serial scan path and the EventSink wrapper below — or chunk > 0
-/// for a buffering partial that replays on merge.
+/// one-thread scan and the capture-time kernel — or chunk > 0 for a
+/// buffering partial that replays on merge.
 class HealthKernel {
  public:
   HealthKernel() : HealthKernel(HealthOptions{}, 0) {}
   explicit HealthKernel(HealthOptions options, std::size_t chunk = 0);
 
-  void add(const ipm::TraceEvent& e);
+  /// Admits fault markers and bulk data calls (bytes at or above
+  /// admission_bytes()); every row, admitted or not, takes the next
+  /// stream index.
   void add_batch(const ipm::ColumnBatch& b);
 
   /// Fold a later-stream partial into this one (kernel contract:
@@ -284,24 +286,6 @@ class HealthKernel {
 };
 
 static_assert(analysis::Kernel<HealthKernel>);
-
-/// EventSink adapter: live monitoring during simulation (the --monitor
-/// path of `eiotrace simulate`). Wraps a rooted kernel; finish() seals
-/// the stream.
-class HealthSink final : public ipm::EventSink {
- public:
-  explicit HealthSink(HealthOptions options)
-      : kernel_(std::move(options), 0) {}
-
-  void on_event(const ipm::TraceEvent& event) override { kernel_.add(event); }
-  void finish() override { kernel_.finish(); }
-
-  [[nodiscard]] HealthKernel& kernel() noexcept { return kernel_; }
-  [[nodiscard]] const HealthKernel& kernel() const noexcept { return kernel_; }
-
- private:
-  HealthKernel kernel_;
-};
 
 /// One incident as a JSON object, keys in the fixed order run, kind,
 /// subject, onset_event, clear_event, onset_time, clear_time,

@@ -39,7 +39,8 @@ RunInstance::RunInstance(JobSpec spec, std::uint64_t run_index)
       fs_(run_, spec_.machine, node_count_for(spec_.machine, ranks_),
           injector_.get()),
       io_(run_, fs_, spec_.machine.tasks_per_node, injector_.get()),
-      monitor_(ipm::Monitor::Config{.mode = spec_.capture}),
+      monitor_(ipm::Monitor::Config{.mode = spec_.capture},
+               spec_.sink_factory ? spec_.sink_factory(run_index) : nullptr),
       runtime_(run_, io_, spec_.collective_costs, injector_.get()) {
   for (const auto& [path, options] : spec_.stripe_options) {
     io_.setstripe(path, options);
@@ -50,10 +51,6 @@ RunInstance::RunInstance(JobSpec spec, std::uint64_t run_index)
   if (injector_) {
     injector_->set_marker_hook(
         [this](const fault::Marker& m) { io_.notify_fault(m); });
-  }
-  if (spec_.sink_factory) {
-    sink_ = spec_.sink_factory(run_index);
-    if (sink_) monitor_.add_sink(sink_.get());
   }
   monitor_.trace().set_experiment(spec_.name);
   monitor_.trace().set_ranks(ranks_);
@@ -88,14 +85,13 @@ RunResult RunInstance::execute() {
   fs_.stop_background();
   engine.run();
   result.job_time = runtime_.job_finish_time();
-  monitor_.finish();  // flush the sink chain before harvesting
+  monitor_.finish();  // flush the sink's last batch before harvesting
   result.trace = std::move(monitor_.trace());
   result.profile = monitor_.profile();
   result.fs_stats = fs_.stats();
   result.engine_events = engine.events_run();
   result.monitor_overhead = monitor_.accounted_overhead();
   if (injector_) result.fault_counts = injector_->counts();
-  result.sink = sink_;
   return result;
 }
 

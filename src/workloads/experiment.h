@@ -48,11 +48,11 @@ struct JobSpec {
   /// executed by a per-run fault::Injector, so an ensemble's runs each
   /// suffer their own deterministic instance of the pathology.
   fault::Plan faults;
-  /// Optional per-run streaming sink: called once per run with the run
-  /// index; the returned sink receives every completed call as it
-  /// retires (before any trace/profile harvesting) and its finish() is
-  /// invoked when the run completes. Lets ensembles compute per-run
-  /// statistics without retaining whole traces (capture = kProfile).
+  /// Optional per-run capture sink: called once per run with the run
+  /// index; the run's monitor owns the returned sink and hands it every
+  /// completed call in column batches, the last one before execute()
+  /// harvests the trace. Lets ensembles compute per-run statistics
+  /// without retaining whole traces (capture = kProfile).
   std::function<std::shared_ptr<ipm::EventSink>(std::size_t run_index)>
       sink_factory;
 };
@@ -69,9 +69,6 @@ struct RunResult {
   /// Injection counters of this run's fault::Injector (all zero when
   /// the job's fault plan is empty).
   fault::Counts fault_counts;
-  /// The sink produced by JobSpec::sink_factory for this run (if any),
-  /// already finish()ed — ready for result extraction.
-  std::shared_ptr<ipm::EventSink> sink;
   /// Reported aggregate data rate the way benchmarks report it:
   /// payload bytes moved / job wall time.
   [[nodiscard]] double reported_rate() const {
@@ -124,7 +121,6 @@ class RunInstance {
   posix::PosixIo io_;
   ipm::Monitor monitor_;
   mpi::Runtime runtime_;
-  std::shared_ptr<ipm::EventSink> sink_;
   bool executed_ = false;
 };
 

@@ -8,7 +8,10 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -18,8 +21,12 @@
 #include "core/samples.h"
 #include "core/streaming.h"
 #include "ipm/columns.h"
+#include "ipm/trace_source.h"
 #include "ipm/trace_v3.h"
 #include "monitor/health.h"
+#include "temp_path.h"
+#include "workloads/experiment.h"
+#include "workloads/scenario.h"
 
 namespace eio::analysis {
 namespace {
@@ -299,6 +306,61 @@ TEST(KernelIdentityTest, AnalyzeMonitorKernelSet) {
   expect_identical(a.get<3>(), b.get<3>());
   expect_identical(a.get<4>(), b.get<4>());
   expect_identical(a.get<5>(), b.get<5>());
+}
+
+/// One monitored run of a shipped scenario: the set attached to the
+/// live run has folded the monitor's capture batches. Then the same
+/// factory scans the run's saved v3 trace at one and two threads, and
+/// both results must equal the capture bit for bit. Returns the
+/// number of incidents the capture opened.
+std::size_t expect_capture_equals_analysis(const std::string& name) {
+  SCOPED_TRACE(name);
+  const workloads::ScenarioBuilder scenario = workloads::load_scenario(
+      std::string(EIO_SOURCE_DIR) + "/examples/scenarios/" + name + ".json");
+  workloads::JobSpec job = scenario.job();
+  job.capture = ipm::Mode::kBoth;
+  monitor::HealthOptions mopt;
+  mopt.ost_count = scenario.machine_config().ost_count;
+  const auto make = [&mopt](std::size_t chunk) {
+    stats::SummaryOptions opts = chunk_summary_options({}, chunk);
+    return KernelSet(SummarySink(kWrites, opts), SummarySink(kReads, opts),
+                     PhaseSummarySink({}, opts),
+                     monitor::HealthKernel(mopt, chunk));
+  };
+  using Set = decltype(make(std::size_t{0}));
+  std::shared_ptr<KernelSink<Set>> sink;
+  job.sink_factory = [&sink, &make](std::size_t) {
+    sink = std::make_shared<KernelSink<Set>>(make(0));
+    return sink;
+  };
+  const workloads::RunResult run = workloads::run_job(job);
+  Set& captured = sink->kernel();
+
+  const std::string path = testutil::temp_path(name + ".v3");
+  run.trace.save_binary_v3(path);
+  const ipm::FileTraceSource source(path);
+  for (std::size_t jobs : {1u, 2u}) {
+    SCOPED_TRACE(::testing::Message() << "--jobs=" << jobs);
+    const std::optional<ipm::ParallelTraceScanner> scanner(
+        std::in_place, path, ipm::ScanOptions{.jobs = jobs});
+    Set analyzed = run_kernels(source, scanner, ipm::ChunkHint{}, make);
+    expect_identical(captured.get<0>().summary(), analyzed.get<0>().summary());
+    expect_identical(captured.get<1>().summary(), analyzed.get<1>().summary());
+    expect_identical(captured.get<2>(), analyzed.get<2>());
+    expect_identical(captured.get<3>(), analyzed.get<3>());
+  }
+  std::remove(path.c_str());
+  return captured.get<3>().incidents().size();
+}
+
+TEST(KernelIdentityTest, CaptureEqualsAnalysisOnSlowOst) {
+  // One capture batch; the faulted OST opens incidents.
+  EXPECT_GT(expect_capture_equals_analysis("slow_ost"), 0u);
+}
+
+TEST(KernelIdentityTest, CaptureEqualsAnalysisAcrossBatchCuts) {
+  // 16,896 calls: four full capture batches and a trailing partial.
+  expect_capture_equals_analysis("fig4_madbench_franklin");
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "core/rate_series.h"
 #include "core/samples.h"
 #include "core/trace_diagram.h"
+#include "ipm/columns.h"
 #include "ipm/report.h"
 #include "ipm/trace_source.h"
 #include "temp_path.h"
@@ -162,8 +163,8 @@ TEST(StreamingEquivalenceTest, ReservoirKeepsKsInputsExact) {
     auto batch = durations(t, f);
 
     SummarySink sink(f);
-    MemoryTraceSource source(t);
-    source.for_each([&sink](const ipm::TraceEvent& e) { sink.on_event(e); });
+    ipm::ColumnScratch scratch;
+    sink.add_batch(ipm::shred(t.events(), scratch));
     const stats::ReservoirSampler& r = sink.summary().reservoir();
 
     // Below capacity the reservoir holds the stream verbatim, so the
@@ -195,8 +196,8 @@ TEST(StreamingEquivalenceTest, PhaseSummariesMatchDurationsByPhase) {
   for (const ipm::Trace& t : seed_traces()) {
     auto batch = durations_by_phase(t, {});
     PhaseSummarySink sink{{}};
-    MemoryTraceSource source(t);
-    source.for_each([&sink](const ipm::TraceEvent& e) { sink.on_event(e); });
+    ipm::ColumnScratch scratch;
+    sink.add_batch(ipm::shred(t.events(), scratch));
     ASSERT_EQ(sink.by_phase().size(), batch.size()) << t.experiment();
     for (const auto& [phase, ds] : batch) {
       auto it = sink.by_phase().find(phase);
@@ -463,13 +464,12 @@ TEST(MergeKernelsTest, PhaseSummarySinkMergeMatchesSingleSink) {
     PhaseSummarySink whole{{}};
     PhaseSummarySink left{{}};
     PhaseSummarySink right{{}};
-    std::size_t n = 0;
+    const std::span<const ipm::TraceEvent> events = t.events();
     const std::size_t half = t.size() / 2;
-    MemoryTraceSource source(t);
-    source.for_each([&](const ipm::TraceEvent& e) {
-      whole.on_event(e);
-      (n++ < half ? left : right).on_event(e);
-    });
+    ipm::ColumnScratch scratch;
+    whole.add_batch(ipm::shred(events, scratch));
+    left.add_batch(ipm::shred(events.first(half), scratch));
+    right.add_batch(ipm::shred(events.subspan(half), scratch));
     left.merge(right);
     ASSERT_EQ(left.by_phase().size(), whole.by_phase().size())
         << t.experiment();

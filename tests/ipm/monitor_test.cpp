@@ -1,13 +1,19 @@
 // Unit tests for the IPM-I/O monitor: interception, phase tagging,
-// capture modes, and overhead accounting.
+// capture modes, overhead accounting, and the capture sink's batches.
 #include "ipm/monitor.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "common/units.h"
+#include "ipm/trace_v3.h"
 #include "lustre/filesystem.h"
 #include "posix/vfs.h"
 #include "sim/run_context.h"
+#include "workloads/experiment.h"
+#include "workloads/scenario.h"
 
 namespace eio::ipm {
 namespace {
@@ -160,6 +166,95 @@ TEST(MonitorTest, ProfileMatchesTraceMoments) {
   double profile_mean = monitor.profile().approximate_mean(posix::OpType::kWrite);
   EXPECT_GT(profile_mean, trace_mean / 1.35);
   EXPECT_LT(profile_mean, trace_mean * 1.35);
+}
+
+/// Keeps every batch the monitor hands it, as its size and its rows.
+class RecordingSink final : public EventSink {
+ public:
+  void add_batch(const ColumnBatch& batch) override {
+    sizes.push_back(batch.size());
+    std::vector<TraceEvent> part;
+    unshred(batch, part);
+    rows.insert(rows.end(), part.begin(), part.end());
+  }
+
+  std::vector<std::size_t> sizes;
+  std::vector<TraceEvent> rows;
+};
+
+TEST(MonitorTest, SinkSeesChunkAlignedBatchesOfTheCapturedTrace) {
+  const std::size_t cut = TraceWriterV3::Options{}.chunk_events;
+  auto sink = std::make_shared<RecordingSink>();
+  Monitor monitor(Monitor::Config{}, sink);
+  for (std::size_t i = 0; i < 2 * cut + 100; ++i) {
+    const auto rank = static_cast<RankId>(i % 4);
+    monitor.set_phase(rank, static_cast<std::int32_t>(i / 1000));
+    monitor.on_call({.rank = rank,
+                     .op = i % 3 == 0 ? posix::OpType::kRead
+                                      : posix::OpType::kWrite,
+                     .file = 1 + static_cast<FileId>(i % 5),
+                     .offset = 64 * i,
+                     .bytes = 64 + i,
+                     .start = 1e-3 * static_cast<double>(i),
+                     .duration = 1e-4 * static_cast<double>(1 + i % 7)});
+  }
+  EXPECT_EQ(sink->sizes, (std::vector<std::size_t>{cut, cut}));
+  monitor.finish();
+  monitor.finish();  // idempotent: one trailing partial
+  EXPECT_EQ(sink->sizes, (std::vector<std::size_t>{cut, cut, 100}));
+
+  const std::vector<TraceEvent>& captured = monitor.trace().events();
+  ASSERT_EQ(sink->rows.size(), captured.size());
+  for (std::size_t i = 0; i < captured.size(); ++i) {
+    const TraceEvent& a = sink->rows[i];
+    const TraceEvent& b = captured[i];
+    ASSERT_TRUE(a.start == b.start && a.duration == b.duration &&
+                a.op == b.op && a.rank == b.rank && a.file == b.file &&
+                a.offset == b.offset && a.bytes == b.bytes &&
+                a.phase == b.phase)
+        << "row " << i;
+  }
+}
+
+/// Adds the rows it is handed to a counter that outlives it.
+class CountingSink final : public EventSink {
+ public:
+  explicit CountingSink(std::size_t& rows) : rows_(&rows) {}
+  void add_batch(const ColumnBatch& batch) override { *rows_ += batch.size(); }
+
+ private:
+  std::size_t* rows_;
+};
+
+TEST(MonitorTest, RunTornDownMidExecutionFlushesThenFreesItsSink) {
+  // A run destroyed before execute() finishes (as when execute()
+  // throws) hands its trailing batch to a live sink and only then
+  // frees it: the run's monitor owns the sink.
+  workloads::ScenarioBuilder scenario;
+  scenario.machine("franklin").ior(
+      {.tasks = 8, .block_size = 4 * MiB, .segments = 1});
+  workloads::JobSpec job = scenario.job();
+  std::size_t rows = 0;
+  std::uint64_t calls = 0;
+  std::weak_ptr<EventSink> watch;
+  job.sink_factory = [&rows, &watch](std::size_t) {
+    auto sink = std::make_shared<CountingSink>(rows);
+    watch = sink;
+    return sink;
+  };
+  {
+    workloads::RunInstance run(job);
+    run.runtime().start();
+    sim::Engine& engine = run.context().engine();
+    while (run.monitor().intercepted() < 20 && engine.step()) {
+    }
+    calls = run.monitor().intercepted();
+    ASSERT_GE(calls, 20u);
+    EXPECT_EQ(rows, 0u);  // fewer calls than one batch: nothing cut yet
+    EXPECT_FALSE(watch.expired());
+  }
+  EXPECT_EQ(rows, calls);
+  EXPECT_TRUE(watch.expired());
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include "core/rate_series.h"
 #include "core/samples.h"
 #include "core/streaming.h"
+#include "ipm/columns.h"
 #include "ipm/trace.h"
 #include "ipm/trace_source.h"
 #include "ipm/trace_stream.h"
@@ -115,7 +116,9 @@ ipm::Trace monotonic_trace(std::size_t events) {
 stats::StreamingSummary serial_summary(const ipm::TraceSource& source,
                                        const EventFilter& filter) {
   SummarySink sink(filter);
-  source.for_each([&sink](const ipm::TraceEvent& e) { sink.on_event(e); });
+  const ipm::Trace t = source.materialize();
+  ipm::ColumnScratch scratch;
+  sink.add_batch(ipm::shred(t.events(), scratch));
   return sink.summary();
 }
 
@@ -459,8 +462,8 @@ TEST(ParallelScanTest, PhaseSummariesMatchSerialSink) {
     ipm::ParallelTraceScanner scanner(path, {.jobs = 4});
 
     PhaseSummarySink serial{{}};
-    source.for_each(
-        [&serial](const ipm::TraceEvent& e) { serial.on_event(e); });
+    ipm::ColumnScratch scratch;
+    serial.add_batch(ipm::shred(t.events(), scratch));
     const auto scanned = scanned_phases(scanner, {});
 
     ASSERT_EQ(scanned.size(), serial.by_phase().size()) << t.experiment();

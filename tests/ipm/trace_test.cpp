@@ -1,5 +1,5 @@
-// Unit tests for trace containers, serialization round-trips, format
-// sniffing, and the capture-side sinks.
+// Unit tests for trace containers, serialization round-trips, and
+// format sniffing.
 #include "ipm/trace.h"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "ipm/sink.h"
 #include "ipm/trace_source.h"
 #include "ipm/trace_stream.h"
 #include "temp_path.h"
@@ -269,29 +268,6 @@ TEST(TraceTest, FileTraceSourceReportsMetaForAllFormats) {
   }
   std::remove(tsv.c_str());
   std::remove(v3.c_str());
-}
-
-/// Counts what it is fed: a stand-in for any consumer that rides
-/// beside the trace on the capture side.
-class CountingSink final : public EventSink {
- public:
-  void on_event(const TraceEvent&) override { ++calls; }
-  void finish() override { ++finishes; }
-  std::size_t calls = 0;
-  std::size_t finishes = 0;
-};
-
-TEST(TraceTest, SinksComposeOnTheCaptureSide) {
-  Trace captured("sink", 2);
-  auto counter = std::make_shared<CountingSink>();
-  FanoutSink fanout({std::make_shared<TraceSink>(captured), counter});
-  for (int i = 0; i < 5; ++i) {
-    fanout.on_event(make_event(i, 0.5, posix::OpType::kWrite, 0, 128));
-  }
-  fanout.finish();
-  EXPECT_EQ(captured.size(), 5u);
-  EXPECT_EQ(counter->calls, 5u);
-  EXPECT_EQ(counter->finishes, 1u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/diagnose.h"
+#include "core/kernel.h"
 #include "monitor/health.h"
 #include "workloads/ensemble.h"
 #include "workloads/scenario.h"
@@ -34,16 +35,17 @@ ScenarioRun run_scenario(const std::string& name) {
   HealthOptions opt;
   opt.ost_count = scenario.machine_config().ost_count;
   opt.stripe_size = scenario.machine_config().stripe_size;
-  std::shared_ptr<HealthSink> sink;
+  std::shared_ptr<analysis::KernelSink<HealthKernel>> sink;
   job.sink_factory = [&sink, opt](std::size_t) {
-    sink = std::make_shared<HealthSink>(opt);
+    sink = std::make_shared<analysis::KernelSink<HealthKernel>>(
+        HealthKernel(opt));
     return sink;
   };
 
   workloads::ParallelEnsembleRunner runner({.jobs = 1});
   auto results = runner.run_ensemble(job, 1);
   EXPECT_EQ(results.size(), 1u);
-  sink->finish();  // idempotent: the runner already sealed the stream
+  sink->kernel().finish();
 
   analysis::DiagnoserOptions dopt;
   dopt.ost_count = scenario.machine_config().ost_count;

@@ -12,6 +12,7 @@
 
 #include "common/units.h"
 #include "fault/plan.h"
+#include "ipm/columns.h"
 #include "ipm/trace.h"
 
 namespace eio::monitor {
@@ -34,6 +35,12 @@ TraceEvent marker(Seconds time, fault::Kind kind, std::uint64_t component,
           component, static_cast<Bytes>(kind), 0, 0};
 }
 
+/// Fold `events` into `k` as one column batch.
+void feed(HealthKernel& k, const std::vector<TraceEvent>& events) {
+  ipm::ColumnScratch scratch;
+  k.add_batch(ipm::shred(events, scratch));
+}
+
 HealthOptions small_options() {
   HealthOptions opt;
   opt.ost_count = 8;
@@ -45,10 +52,12 @@ HealthOptions small_options() {
 
 TEST(HealthKernelTest, QuietStreamOpensNothing) {
   HealthKernel k(small_options());
+  std::vector<TraceEvent> events;
   for (int i = 0; i < 400; ++i) {
-    k.add(bulk(0.01 * i, 0.010, OpType::kWrite, i % 8,
-               1 + static_cast<FileId>(i % 8)));
+    events.push_back(bulk(0.01 * i, 0.010, OpType::kWrite, i % 8,
+                          1 + static_cast<FileId>(i % 8)));
   }
+  feed(k, events);
   k.finish();
   EXPECT_TRUE(k.incidents().empty());
   EXPECT_GT(k.counts().windows_evaluated, 0u);
@@ -57,13 +66,15 @@ TEST(HealthKernelTest, QuietStreamOpensNothing) {
 
 TEST(HealthKernelTest, DegradedOstClassFires) {
   HealthKernel k(small_options());
+  std::vector<TraceEvent> events;
   // Files 1..8 map to classes (file-1)%8 = 0..7; class 5 (file 6)
   // runs 5x slower than the fleet.
   for (int i = 0; i < 400; ++i) {
     FileId file = 1 + static_cast<FileId>(i % 8);
     double d = file == 6 ? 0.050 : 0.010;
-    k.add(bulk(0.01 * i, d, OpType::kWrite, i % 4, file));
+    events.push_back(bulk(0.01 * i, d, OpType::kWrite, i % 4, file));
   }
+  feed(k, events);
   k.finish();
   ASSERT_FALSE(k.incidents().empty());
   const Incident& inc = k.incidents().front();
@@ -76,13 +87,15 @@ TEST(HealthKernelTest, DegradedOstClassFires) {
 
 TEST(HealthKernelTest, StragglerRankFiresOnPhaseGaps) {
   HealthKernel k(small_options());
+  std::vector<TraceEvent> events;
   // 8 ranks x 5 barrier phases; rank 3 finishes each phase 5x late.
   for (std::int32_t p = 0; p < 5; ++p) {
     for (RankId r = 0; r < 8; ++r) {
       double d = r == 3 ? 0.50 : 0.10;
-      k.add(bulk(p * 1.0, d, OpType::kWrite, r, 1 + r, p));
+      events.push_back(bulk(p * 1.0, d, OpType::kWrite, r, 1 + r, p));
     }
   }
+  feed(k, events);
   k.finish();
   ASSERT_FALSE(k.incidents().empty());
   const Incident& inc = k.incidents().front();
@@ -98,12 +111,14 @@ TEST(HealthKernelTest, DistributionDriftFiresWhenEnabled) {
   opt.drift_window = 64;
   opt.drift_d = 0.5;
   HealthKernel k(opt);
+  std::vector<TraceEvent> events;
   // Warm-up freezes a 64-sample baseline at 10 ms; the stream then
   // shifts to 50 ms — KS D -> 1.
   for (int i = 0; i < 300; ++i) {
     double d = i < 128 ? 0.010 : 0.050;
-    k.add(bulk(0.01 * i, d, OpType::kWrite, 0, 1));
+    events.push_back(bulk(0.01 * i, d, OpType::kWrite, 0, 1));
   }
+  feed(k, events);
   k.finish();
   ASSERT_FALSE(k.incidents().empty());
   const Incident& inc = k.incidents().front();
@@ -118,21 +133,23 @@ TEST(HealthKernelTest, DriftDetectorIsOffByDefault) {
   opt.ost_count = 0;
   opt.drift_window = 64;  // drift_d stays 0 = off
   HealthKernel k(opt);
+  std::vector<TraceEvent> events;
   for (int i = 0; i < 300; ++i) {
     double d = i < 128 ? 0.010 : 0.050;
-    k.add(bulk(0.01 * i, d, OpType::kWrite, 0, 1));
+    events.push_back(bulk(0.01 * i, d, OpType::kWrite, 0, 1));
   }
+  feed(k, events);
   k.finish();
   EXPECT_TRUE(k.incidents().empty());
 }
 
 TEST(HealthKernelTest, InjectedMarkersOpenAndClear) {
   HealthKernel k(small_options());
-  k.add(marker(0.5, fault::Kind::kOstDegraded, 5, kInvalidRank, 0.25));
-  k.add(bulk(0.6, 0.01, OpType::kWrite, 0, 1));
-  k.add(marker(2.0, fault::Kind::kOstRestored, 5, kInvalidRank, 0.0));
-  k.add(marker(3.0, fault::Kind::kStall, 0, 7, 0.12));
-  k.add(marker(3.5, fault::Kind::kRetry, 2, 9, 0.30));
+  feed(k, {marker(0.5, fault::Kind::kOstDegraded, 5, kInvalidRank, 0.25),
+           bulk(0.6, 0.01, OpType::kWrite, 0, 1),
+           marker(2.0, fault::Kind::kOstRestored, 5, kInvalidRank, 0.0),
+           marker(3.0, fault::Kind::kStall, 0, 7, 0.12),
+           marker(3.5, fault::Kind::kRetry, 2, 9, 0.30)});
   k.finish();
 
   ASSERT_EQ(k.incidents().size(), 3u);
@@ -166,14 +183,15 @@ TEST(HealthKernelTest, ChunkedMergeMatchesSerialByteForByte) {
 
   HealthOptions opt = small_options();
   HealthKernel serial(opt, 0);
-  for (const TraceEvent& e : stream) serial.add(e);
+  feed(serial, stream);
   serial.finish();
 
   for (std::size_t chunks : {2u, 4u, 7u}) {
     std::vector<HealthKernel> parts;
-    for (std::size_t c = 0; c < chunks; ++c) parts.emplace_back(opt, c);
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-      parts[i * chunks / stream.size()].add(stream[i]);
+    for (std::size_t c = 0; c < chunks; ++c) {
+      parts.emplace_back(opt, c);
+      feed(parts.back(), {stream.begin() + c * stream.size() / chunks,
+                          stream.begin() + (c + 1) * stream.size() / chunks});
     }
     HealthKernel merged = std::move(parts[0]);
     for (std::size_t c = 1; c < chunks; ++c) {
@@ -196,20 +214,10 @@ TEST(HealthKernelTest, DisabledKernelConsumesNothing) {
   opt.enabled = false;
   HealthKernel k(opt);
   EXPECT_EQ(k.required_columns(), ipm::ColumnMask{0});
-  k.add(bulk(0.0, 0.01, OpType::kWrite, 0, 1));
+  feed(k, {bulk(0.0, 0.01, OpType::kWrite, 0, 1)});
   k.finish();
   EXPECT_TRUE(k.incidents().empty());
   EXPECT_EQ(k.events_consumed(), 0u);
-}
-
-TEST(HealthSinkTest, WrapsRootedKernel) {
-  HealthSink sink(small_options());
-  sink.on_event(marker(1.0, fault::Kind::kStragglerStall, 0, 4, 0.8));
-  sink.finish();
-  ASSERT_EQ(sink.kernel().incidents().size(), 1u);
-  EXPECT_EQ(sink.kernel().incidents()[0].kind,
-            IncidentKind::kInjectedStraggler);
-  EXPECT_EQ(sink.kernel().incidents()[0].subject, 4u);
 }
 
 TEST(IncidentJsonlTest, FixedKeyOrderAndEscaping) {
