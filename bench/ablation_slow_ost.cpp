@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/diagnose.h"
 #include "core/histogram.h"
 #include "fault/plan.h"
+#include "monitor/diagnose.h"
 #include "workloads/scenario.h"
 
 using namespace eio;
@@ -106,7 +106,7 @@ int main() {
   opt.ost_count = lustre::MachineConfig::franklin().ost_count;
   for (bool bad : {false, true}) {
     const auto& trace = bad ? degraded.trace : healthy.trace;
-    auto findings = analysis::diagnose(trace, opt);
+    auto findings = analysis::diagnose(ipm::MemoryTraceSource(trace), opt);
     std::printf("  %-8s:", bad ? "degraded" : "healthy");
     bool any = false;
     for (const auto& f : findings) {

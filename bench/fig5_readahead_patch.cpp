@@ -7,9 +7,9 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "core/diagnose.h"
 #include "core/histogram.h"
 #include "core/patterns.h"
+#include "monitor/diagnose.h"
 #include "workloads/madbench.h"
 
 using namespace eio;
@@ -72,12 +72,13 @@ int main(int argc, char** argv) {
   bench::print_trace_diagram(after);
 
   bench::section("automatic diagnosis (the ensemble method at work)");
-  for (const auto& f : analysis::diagnose(before.trace)) {
+  for (const auto& f :
+       analysis::diagnose(ipm::MemoryTraceSource(before.trace))) {
     std::printf("  [%-22s sev %.2f] %s\n", analysis::finding_name(f.code),
                 f.severity, f.message.c_str());
   }
   std::printf("  findings after the patch: %zu\n",
-              analysis::diagnose(after.trace).size());
+              analysis::diagnose(ipm::MemoryTraceSource(after.trace)).size());
 
   bench::section("detected access patterns (the future-work direction)");
   auto patterns = analysis::detect_patterns(before.trace);

@@ -11,8 +11,8 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "core/diagnose.h"
 #include "core/histogram.h"
+#include "monitor/diagnose.h"
 #include "workloads/gcrm.h"
 
 using namespace eio;
@@ -92,7 +92,8 @@ int main(int argc, char** argv) {
   bench::section("diagnosis of the baseline (what the method tells you to fix)");
   analysis::DiagnoserOptions opt;
   opt.fair_share_rate = workloads::fair_share_rate(franklin, 10240);
-  for (const auto& f : analysis::diagnose(results[0].trace, opt)) {
+  for (const auto& f :
+       analysis::diagnose(ipm::MemoryTraceSource(results[0].trace), opt)) {
     std::printf("  [%-22s sev %.2f] %s\n", analysis::finding_name(f.code),
                 f.severity, f.message.c_str());
   }

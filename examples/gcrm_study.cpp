@@ -5,9 +5,9 @@
 // Build & run:  ./build/examples/gcrm_study
 #include <cstdio>
 
-#include "core/diagnose.h"
 #include "core/distribution.h"
 #include "core/samples.h"
+#include "monitor/diagnose.h"
 #include "workloads/gcrm.h"
 
 using namespace eio;
@@ -54,7 +54,8 @@ int main() {
   analysis::DiagnoserOptions opt;
   opt.fair_share_rate = workloads::fair_share_rate(machine(), 1280);
   std::printf("\n  what the ensemble view says about the baseline:\n");
-  for (const auto& f : analysis::diagnose(baseline.trace, opt)) {
+  for (const auto& f :
+       analysis::diagnose(ipm::MemoryTraceSource(baseline.trace), opt)) {
     std::printf("    [%s] %s\n", analysis::finding_name(f.code),
                 f.message.c_str());
   }
@@ -78,7 +79,7 @@ int main() {
               baseline.job_time / agg.job_time);
 
   std::printf("\n  residual findings on the optimized configuration:\n");
-  auto findings = analysis::diagnose(agg.trace, opt);
+  auto findings = analysis::diagnose(ipm::MemoryTraceSource(agg.trace), opt);
   if (findings.empty()) {
     std::printf("    none — the ladder closed every diagnosed issue\n");
   }

@@ -10,10 +10,10 @@
 // Build & run:  ./build/examples/madbench_study
 #include <cstdio>
 
-#include "core/diagnose.h"
 #include "core/distribution.h"
 #include "core/samples.h"
 #include "ipm/trace.h"
+#include "monitor/diagnose.h"
 #include "workloads/madbench.h"
 
 using namespace eio;
@@ -60,7 +60,8 @@ int main() {
               "     something *stateful* in the stack compounds per phase.\n\n");
 
   std::printf("step 3 — the diagnoser agrees\n");
-  for (const auto& f : analysis::diagnose(before.trace)) {
+  for (const auto& f :
+       analysis::diagnose(ipm::MemoryTraceSource(before.trace))) {
     std::printf("  [%s] %s\n", analysis::finding_name(f.code), f.message.c_str());
   }
 

@@ -9,12 +9,12 @@
 #include <cstdio>
 
 #include "core/ascii_chart.h"
-#include "core/diagnose.h"
 #include "core/distribution.h"
 #include "core/histogram.h"
 #include "core/modes.h"
 #include "core/samples.h"
 #include "ipm/report.h"
+#include "monitor/diagnose.h"
 #include "workloads/experiment.h"
 
 using namespace eio;
@@ -89,7 +89,8 @@ int main() {
   // 6. Or just ask the diagnoser.
   analysis::DiagnoserOptions options;
   options.fair_share_rate = workloads::fair_share_rate(machine, ranks);
-  auto findings = analysis::diagnose(result.trace, options);
+  auto findings =
+      analysis::diagnose(ipm::MemoryTraceSource(result.trace), options);
   std::printf("\ndiagnosis (%zu finding%s):\n", findings.size(),
               findings.size() == 1 ? "" : "s");
   for (const auto& f : findings) {

@@ -1,13 +1,14 @@
 // The trace-analysis command handlers. Every subcommand consumes a
 // TraceSource: the trace file is streamed per analysis pass, never
 // materialized, so peak memory is independent of the event count
-// (except where noted: diagnose/patterns need random access and
-// materialize internally).
+// (except where noted: patterns orders each stream by offset and
+// materializes internally; diagnose keeps every matched duration).
 //
 // Each analysis subcommand builds a kernel (or KernelSet) factory and
-// hands it to analysis::run_kernels: exactly ONE trace scan per
-// invocation — chunk-parallel on v3 files, one serial columnar pass
-// over TSV — no matter how many statistics it fuses.
+// hands it to analysis::run_kernels (diagnose through
+// analysis::diagnose): exactly ONE trace scan per invocation —
+// chunk-parallel on v3 files, one serial columnar pass over TSV — no
+// matter how many statistics it fuses.
 //
 // Commands on the machine-readable contract (summary, analyze,
 // diagnose, monitor) honor --json: one compact JSON document on
@@ -24,7 +25,6 @@
 #include "cli/commands.h"
 #include "cli/helpers.h"
 #include "common/units.h"
-#include "core/diagnose.h"
 #include "core/distribution.h"
 #include "core/histogram.h"
 #include "core/ks.h"
@@ -36,6 +36,7 @@
 #include "ipm/trace.h"
 #include "ipm/trace_stream.h"
 #include "ipm/trace_v3.h"
+#include "monitor/diagnose.h"
 #include "monitor/health.h"
 
 namespace eio::cli {
@@ -182,11 +183,9 @@ int cmd_diagnose(CommandContext& ctx) {
   opt.fair_share_rate =
       args.get_double("fair-share-mibs", 0.0) * static_cast<double>(MiB);
   opt.ost_count = static_cast<std::uint32_t>(args.get_size("ost-count", 0));
-  // The diagnoser cross-references events (stragglers vs. the pack,
-  // per-file contention), so it materializes — the documented
-  // O(events) exception to the streaming contract.
-  ipm::Trace trace = ctx.source->materialize();
-  auto findings = analysis::diagnose(trace, opt);
+  // One fused scan; the rules are finalizers over its kernels.
+  auto findings =
+      analysis::diagnose(*ctx.source, opt, scanner_for(*ctx.source, args));
   if (ctx.json()) {
     json::Writer w(ctx.os());
     w.begin_object();
@@ -472,7 +471,7 @@ int cmd_convert(CommandContext& ctx) {
 
 int cmd_patterns(CommandContext& ctx) {
   // Pattern detection orders each (rank, file) stream by offset, so it
-  // materializes — documented O(events), like diagnose.
+  // materializes — the documented O(events) exception.
   ipm::Trace trace = ctx.source->materialize();
   auto patterns = analysis::detect_patterns(trace);
   ctx.os() << patterns.size() << " streams\n";

@@ -126,6 +126,9 @@ int dispatch(const std::vector<std::string>& args, std::ostream& out,
                            usage_for(cmd->name))) {
     return *rc;
   }
+  // The root span: every second a command spends, opening its trace
+  // included, sits under one cli.command span.
+  OBS_SPAN("cli.command");
   if (!cmd->needs_trace) {  // the command owns its operands
     try {
       return cmd->run(ctx);

@@ -7,6 +7,7 @@
 // live in modes.h.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -28,6 +29,25 @@ struct Moments {
 
 /// Compute moments of a sample in one pass.
 [[nodiscard]] Moments compute_moments(std::span<const double> samples);
+
+/// EmpiricalDistribution::quantile's interpolation over an unsorted,
+/// non-empty sample, bit for bit, by selecting the two order
+/// statistics it reads instead of sorting: nth_element puts the lo-th
+/// at lo and every larger one after it, so the (lo+1)-th is the least
+/// of that upper part. Reorders `v`. Inline because the health monitor
+/// selects class medians on every window evaluation.
+[[nodiscard]] inline double select_quantile(std::span<double> v, double q) {
+  if (v.size() == 1) return v[0];
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(lo);
+  const auto lo_it = v.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(v.begin(), lo_it, v.end());
+  const double a = *lo_it;
+  const double b =
+      lo + 1 < v.size() ? *std::min_element(lo_it + 1, v.end()) : a;
+  return a * (1.0 - frac) + b * frac;
+}
 
 /// A sorted copy of a sample supporting quantile/CDF queries.
 class EmpiricalDistribution {

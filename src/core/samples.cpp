@@ -18,15 +18,6 @@ ipm::ColumnMask EventFilter::required_columns() const noexcept {
   return mask;
 }
 
-std::vector<ipm::TraceEvent> select(const ipm::Trace& trace,
-                                    const EventFilter& filter) {
-  std::vector<ipm::TraceEvent> out;
-  for (const auto& e : trace.events()) {
-    if (filter.matches(e)) out.push_back(e);
-  }
-  return out;
-}
-
 std::vector<double> durations(const ipm::Trace& trace, const EventFilter& filter) {
   std::vector<double> out;
   for (const auto& e : trace.events()) {

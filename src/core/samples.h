@@ -1,8 +1,9 @@
 // Extraction of measurement samples from traces.
 //
-// Everything downstream (histograms, modes, order statistics, the
-// diagnoser) consumes flat vectors of per-event measurements; this is
-// where trace events are filtered and shaped into them.
+// Everything downstream (histograms, modes, order statistics)
+// consumes flat vectors of per-event measurements or the streaming
+// kernels below; this is where trace events are filtered and shaped
+// into them.
 #pragma once
 
 #include <map>
@@ -120,10 +121,6 @@ struct EventFilter {
     }
   }
 };
-
-/// Matching events (copies), in trace order.
-[[nodiscard]] std::vector<ipm::TraceEvent> select(const ipm::Trace& trace,
-                                                  const EventFilter& filter);
 
 /// Durations of matching events.
 [[nodiscard]] std::vector<double> durations(const ipm::Trace& trace,

@@ -155,21 +155,8 @@ double StreamingSummary::max() const {
 double StreamingSummary::quantile(double q) const {
   EIO_CHECK(!empty());
   EIO_CHECK_MSG(q >= 0.0 && q <= 1.0, "quantile out of range: " << q);
-  // EmpiricalDistribution::quantile reads sorted[lo] and sorted[hi];
-  // select them instead: nth_element puts the lo-th order statistic at
-  // lo and every larger one after it, so sorted[lo + 1] is the least
-  // of the upper part. Same values, same interpolation, same bits.
   std::vector<double> v = reservoir_.samples();
-  if (v.size() == 1) return v[0];
-  double pos = q * static_cast<double>(v.size() - 1);
-  auto lo = static_cast<std::size_t>(pos);
-  std::size_t hi = std::min(lo + 1, v.size() - 1);
-  double frac = pos - static_cast<double>(lo);
-  auto lo_it = v.begin() + static_cast<std::ptrdiff_t>(lo);
-  std::nth_element(v.begin(), lo_it, v.end());
-  double a = *lo_it;
-  double b = hi == lo ? a : *std::min_element(lo_it + 1, v.end());
-  return a * (1.0 - frac) + b * frac;
+  return select_quantile(v, q);
 }
 
 }  // namespace eio::stats

@@ -305,8 +305,7 @@ class StreamingSummary {
     return reservoir_;
   }
   /// Quantile from the reservoir (exact while the reservoir is exact):
-  /// EmpiricalDistribution::quantile's interpolation, bit for bit, but
-  /// by selecting the two order statistics it needs instead of sorting.
+  /// select_quantile over a copy of the sample.
   [[nodiscard]] double quantile(double q) const;
   [[nodiscard]] double median() const { return quantile(0.5); }
 

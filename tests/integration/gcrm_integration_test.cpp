@@ -9,9 +9,9 @@
 #include <map>
 
 #include "common/units.h"
-#include "core/diagnose.h"
 #include "core/distribution.h"
 #include "core/samples.h"
+#include "monitor/diagnose.h"
 #include "workloads/gcrm.h"
 
 namespace eio::workloads {
@@ -154,7 +154,8 @@ TEST(GcrmIntegrationTest, DiagnoserGuidesTheOptimizations) {
   const Ladder& l = ladder();
   analysis::DiagnoserOptions opt;
   opt.fair_share_rate = fair_share_rate(reduced_machine(), 1280);
-  auto findings = analysis::diagnose(l.baseline.trace, opt);
+  auto findings =
+      analysis::diagnose(ipm::MemoryTraceSource(l.baseline.trace), opt);
   bool meta = false, align = false;
   for (const auto& f : findings) {
     if (f.code == analysis::FindingCode::kMetadataSerialization) meta = true;
@@ -163,7 +164,8 @@ TEST(GcrmIntegrationTest, DiagnoserGuidesTheOptimizations) {
   EXPECT_TRUE(meta) << "diagnoser missed rank-0 metadata serialization";
   EXPECT_TRUE(align) << "diagnoser missed the unaligned sub-fair-share bulge";
   // The fully optimized run is clean of both.
-  for (const auto& f : analysis::diagnose(l.aggmeta.trace, opt)) {
+  for (const auto& f :
+       analysis::diagnose(ipm::MemoryTraceSource(l.aggmeta.trace), opt)) {
     EXPECT_NE(f.code, analysis::FindingCode::kMetadataSerialization);
     EXPECT_NE(f.code, analysis::FindingCode::kSubFairShare);
   }

@@ -5,10 +5,10 @@
 #include <vector>
 
 #include "common/units.h"
-#include "core/diagnose.h"
 #include "core/distribution.h"
 #include "core/rate_series.h"
 #include "core/samples.h"
+#include "monitor/diagnose.h"
 #include "workloads/madbench.h"
 
 namespace eio::workloads {
@@ -147,7 +147,7 @@ TEST(MadbenchIntegrationTest, FranklinReadTailSpansDecades) {
 
 TEST(MadbenchIntegrationTest, DiagnoserFindsTheProblem) {
   RunResult result = run_madbench(lustre::MachineConfig::franklin());
-  auto findings = analysis::diagnose(result.trace);
+  auto findings = analysis::diagnose(ipm::MemoryTraceSource(result.trace));
   bool deterioration = false, tail = false;
   for (const auto& f : findings) {
     if (f.code == analysis::FindingCode::kReadDeterioration) deterioration = true;
@@ -157,7 +157,7 @@ TEST(MadbenchIntegrationTest, DiagnoserFindsTheProblem) {
   EXPECT_TRUE(tail) << "diagnoser missed the read tail";
   // And the patched system is clean of both.
   RunResult patched = run_madbench(lustre::MachineConfig::franklin_patched());
-  for (const auto& f : analysis::diagnose(patched.trace)) {
+  for (const auto& f : analysis::diagnose(ipm::MemoryTraceSource(patched.trace))) {
     EXPECT_NE(f.code, analysis::FindingCode::kReadDeterioration);
     EXPECT_NE(f.code, analysis::FindingCode::kHeavyReadTail);
   }

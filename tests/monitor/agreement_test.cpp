@@ -11,8 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "core/diagnose.h"
 #include "core/kernel.h"
+#include "monitor/diagnose.h"
 #include "monitor/health.h"
 #include "workloads/ensemble.h"
 #include "workloads/scenario.h"
@@ -52,7 +52,8 @@ ScenarioRun run_scenario(const std::string& name) {
   dopt.stripe_size = scenario.machine_config().stripe_size;
   ScenarioRun out;
   out.incidents = sink->kernel().incidents();
-  out.findings = analysis::diagnose(results[0].trace, dopt);
+  out.findings =
+      analysis::diagnose(ipm::MemoryTraceSource(results[0].trace), dopt);
   out.plan = scenario.fault_plan();
   return out;
 }
