@@ -122,6 +122,7 @@ void FileTraceSource::for_each(const EventVisitor& visit) const {
 void FileTraceSource::for_each_hinted(const ChunkHint& hint,
                                       const EventVisitor& visit) const {
   if (!index_) {
+    OBS_COUNTER_ADD("scan.tsv_passes", 1);
     (void)stream_tsv(reset_stream(), visit);
     return;
   }
