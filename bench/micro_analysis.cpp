@@ -282,7 +282,7 @@ PathResult run_fused(const std::string& path, std::size_t events,
   double t0 = now_seconds();
   ipm::ParallelTraceScanner scanner(path, {.jobs = jobs});
   const ipm::ChunkHint hint = analysis::hint_for(kWrites);
-  const double span = scanner.time_span();
+  const double span = ipm::FileTraceSource(path).time_span();
 
   auto fused = scanner.scan_kernels(
       [&](std::size_t chunk) {
@@ -319,7 +319,7 @@ PathResult run_fused_monitored(const std::string& path, std::size_t events,
   double t0 = now_seconds();
   ipm::ParallelTraceScanner scanner(path, {.jobs = jobs});
   const ipm::ChunkHint hint;  // all chunks: markers must survive
-  const double span = scanner.time_span();
+  const double span = ipm::FileTraceSource(path).time_span();
 
   monitor::HealthOptions mopt;
   mopt.ost_count = 48;  // the `analyze --monitor` default (franklin)

@@ -181,7 +181,7 @@ const std::vector<Command>& commands() {
        {{"diagnose", kDiagnoseSpecs}, {"output", kOutputSpecs}},
        true, cmd_diagnose},
       {"patterns", "<trace>", "access-pattern detection + fs hints",
-       {}, true, cmd_patterns},
+       {{"parallelism", kJobsSpecs}}, true, cmd_patterns},
       {"phases", "<trace>", "per-phase duration table",
        {{"filter", kFilterSpecs}, {"parallelism", kJobsSpecs}},
        true, cmd_phases},
@@ -281,8 +281,8 @@ std::string usage_text() {
         "seconds)\n"
      << "machine-readable output: summary/analyze/diagnose/monitor take "
         "--json\n"
-     << "parallelism: summary/analyze/histogram/modes/rates/phases/simulate "
-        "take --jobs=N\n"
+     << "parallelism: summary/analyze/histogram/modes/rates/phases/patterns/"
+        "simulate take --jobs=N\n"
      << "             (default: hardware concurrency; v3 traces scan "
         "chunk-parallel,\n"
      << "             TSV traces stream serially)\n";

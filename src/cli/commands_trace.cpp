@@ -1,14 +1,15 @@
 // The trace-analysis command handlers. Every subcommand consumes a
-// TraceSource: the trace file is streamed per analysis pass, never
+// TraceSource: the trace file is streamed as column batches, never
 // materialized, so peak memory is independent of the event count
-// (except where noted: patterns orders each stream by offset and
-// materializes internally; diagnose keeps every matched duration).
+// (except where noted: patterns keeps one record per (rank, file, op)
+// stream, diagnose and compare keep every matched duration).
 //
 // Each analysis subcommand builds a kernel (or KernelSet) factory and
 // hands it to analysis::run_kernels (diagnose through
 // analysis::diagnose): exactly ONE trace scan per invocation —
 // chunk-parallel on v3 files, one serial columnar pass over TSV — no
-// matter how many statistics it fuses.
+// matter how many statistics it fuses. report, diagram and convert
+// walk the batches once in stored order.
 //
 // Commands on the machine-readable contract (summary, analyze,
 // diagnose, monitor) honor --json: one compact JSON document on
@@ -157,9 +158,7 @@ int cmd_rates(CommandContext& ctx) {
   auto bins = args.get_size("bins", 100);
   analysis::EventFilter filter = filter_from(args, ctx.es());
   auto scanner = scanner_for(source, args);
-  // Indexed traces answer the span from the chunk index (free); only
-  // non-indexed formats pay a span pass before the single fold scan.
-  const double span = scanner ? scanner->time_span() : source.time_span();
+  const double span = source.time_span();
   const ipm::ChunkHint hint = analysis::hint_for(filter);
   auto merged =
       analysis::run_kernels(source, scanner, hint, [&](std::size_t) {
@@ -284,7 +283,7 @@ int cmd_analyze(CommandContext& ctx) {
   monitor::HealthOptions mopt = monitor_options_from(args);
   mopt.enabled = args.has("monitor");
   auto scanner = scanner_for(source, args);
-  const double span = scanner ? scanner->time_span() : source.time_span();
+  const double span = source.time_span();
   // The whole bundle — per-op summaries, per-phase table, duration
   // histogram, rate series, and (when --monitor) the health monitor —
   // as ONE KernelSet over ONE scan whose column mask and chunk hint
@@ -422,7 +421,9 @@ int cmd_convert(CommandContext& ctx) {
   const auto* file = dynamic_cast<const ipm::FileTraceSource*>(&source);
   if (file != nullptr && fmt == format_label(file->format())) {
     std::uint64_t checked = 0;
-    source.for_each([&checked](const ipm::TraceEvent&) { ++checked; });
+    source.for_each_columns(ipm::kColAll, [&](const ipm::ColumnBatch& b) {
+      checked += b.size();
+    });
     std::ifstream in(file->path(), std::ios::binary);
     std::ofstream copy(target, std::ios::binary);
     if (!in.good() || !copy.good()) {
@@ -444,23 +445,27 @@ int cmd_convert(CommandContext& ctx) {
     err << "eiotrace: cannot open for writing: " << target << "\n";
     return 2;
   }
-  std::uint64_t written = 0;
+  // One pass in stored order into either writer. v3 (columnar, with
+  // the footer index) needs no up-front event count; TSV declares it.
+  std::optional<ipm::TraceWriterV3> v3;
   if (fmt == "tsv") {
     ipm::write_tsv_header(outfile, source.meta().experiment,
                           source.meta().ranks, source.event_count());
-    source.for_each([&](const ipm::TraceEvent& e) {
-      ipm::write_tsv_event(outfile, e);
-      ++written;
-    });
   } else {
-    // Columnar v3 with the footer index — a single streaming pass, no
-    // up-front event count needed.
-    ipm::TraceWriterV3 writer(outfile, source.meta().experiment,
-                              source.meta().ranks);
-    source.for_each([&writer](const ipm::TraceEvent& e) { writer.add(e); });
-    writer.finish();
-    written = writer.events_written();
+    v3.emplace(outfile, source.meta().experiment, source.meta().ranks);
   }
+  std::uint64_t written = 0;
+  source.for_each_columns(ipm::kColAll, [&](const ipm::ColumnBatch& b) {
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      if (v3) {
+        v3->add(b.event_at(i));
+      } else {
+        ipm::write_tsv_event(outfile, b.event_at(i));
+      }
+    }
+    written += b.size();
+  });
+  if (v3) v3->finish();
   if (!outfile.good()) {
     err << "eiotrace: write failed: " << target << "\n";
     return 2;
@@ -470,15 +475,18 @@ int cmd_convert(CommandContext& ctx) {
 }
 
 int cmd_patterns(CommandContext& ctx) {
-  // Pattern detection orders each (rank, file) stream by offset, so it
-  // materializes — the documented O(events) exception.
-  ipm::Trace trace = ctx.source->materialize();
-  auto patterns = analysis::detect_patterns(trace);
+  // One scan; chunks holding no read or write are skipped.
+  const auto merged = analysis::run_kernels(
+      *ctx.source, scanner_for(*ctx.source, ctx.args),
+      analysis::hint_for(analysis::EventFilter{}),
+      [](std::size_t) { return analysis::PatternKernel(); });
+  auto patterns = merged.patterns();
   ctx.os() << patterns.size() << " streams\n";
   // Aggregate per (file, op, pattern) so 10k-rank traces stay readable.
   std::map<std::string, std::size_t> counts;
+  std::ostringstream key;
   for (const auto& p : patterns) {
-    std::ostringstream key;
+    key.str("");
     key << "file " << p.file << " " << posix::op_name(p.op) << " "
         << analysis::pattern_name(p.pattern)
         << (p.stripe_aligned ? "" : " unaligned");

@@ -64,14 +64,6 @@ class RateSeriesBuilder {
     }
   }
 
-  /// Fold one event (ignores zero-byte transfers).
-  void add(const ipm::TraceEvent& event) {
-    add(event.start, event.duration, event.bytes);
-  }
-
-  /// Fold every event of a chunk (the batch-dispatch hot path).
-  void add_batch(std::span<const ipm::TraceEvent> events);
-
   /// Fold another builder over the same span/binning (elementwise add
   /// — rates are linear, so partials merge exactly up to FP rounding).
   void merge(const RateSeriesBuilder& other);

@@ -157,11 +157,6 @@ struct EventFilter {
 /// become hints; indexed v3 sources skip chunks that cannot match).
 [[nodiscard]] ipm::ChunkHint hint_for(const EventFilter& filter);
 
-/// Visit every matching event of the source, in stored order.
-void for_each_matching(const ipm::TraceSource& source,
-                       const EventFilter& filter,
-                       const std::function<void(const ipm::TraceEvent&)>& fn);
-
 /// Durations of matching events (materializes the samples, not the
 /// events — use SummarySink when bounded memory matters).
 [[nodiscard]] std::vector<double> durations(const ipm::TraceSource& source,

@@ -8,12 +8,12 @@
 
 namespace eio::analysis {
 
-TraceDiagram::TraceDiagram(std::uint32_t ranks, double span, Options options) {
+TraceDiagram::TraceDiagram(const ipm::TraceSource& source, Options options) {
   EIO_CHECK(options.max_rows >= 1 && options.columns >= 1);
-  ranks = std::max<std::uint32_t>(ranks, 1);
+  const std::uint32_t ranks = std::max<std::uint32_t>(source.meta().ranks, 1);
   rows_ = std::min<std::size_t>(options.max_rows, ranks);
   cols_ = options.columns;
-  span_ = std::max(span, 1e-9);
+  span_ = std::max(source.time_span(), 1e-9);
   dt_ = span_ / static_cast<double>(cols_);
 
   write_.assign(rows_ * cols_, 0.0);
@@ -23,54 +23,44 @@ TraceDiagram::TraceDiagram(std::uint32_t ranks, double span, Options options) {
   // ranks_per_row tasks share a row; cell "busy fraction" normalizes by
   // (ranks_per_row * dt) so a fully-busy row saturates at 1.
   ranks_per_row_ = static_cast<double>(ranks) / static_cast<double>(rows_);
+  source.for_each_columns(
+      ipm::kColStart | ipm::kColDuration | ipm::kColOp | ipm::kColRank,
+      [this](const ipm::ColumnBatch& b) { add_batch(b); });
 }
 
 TraceDiagram::TraceDiagram(const ipm::Trace& trace, Options options)
-    : TraceDiagram(trace.ranks(), trace.span(), options) {
-  for (const auto& e : trace.events()) add(e);
-}
+    : TraceDiagram(ipm::MemoryTraceSource(trace), options) {}
 
-TraceDiagram::TraceDiagram(const ipm::TraceSource& source, Options options)
-    : TraceDiagram(source.meta().ranks,
-                   [&source] {
-                     double span = 0.0;
-                     source.for_each([&span](const ipm::TraceEvent& e) {
-                       span = std::max(span, e.end());
-                     });
-                     return span;
-                   }(),
-                   options) {
-  source.for_each([this](const ipm::TraceEvent& e) { add(e); });
-}
-
-void TraceDiagram::add(const ipm::TraceEvent& e) {
-  std::vector<double>* plane = nullptr;
+void TraceDiagram::add_batch(const ipm::ColumnBatch& b) {
   using posix::OpType;
-  switch (e.op) {
-    case OpType::kWrite: plane = &write_; break;
-    case OpType::kRead: plane = &read_; break;
-    case OpType::kOpen:
-    case OpType::kClose:
-    case OpType::kSeek:
-    case OpType::kFsync:
-    case OpType::kFault: plane = &meta_; break;
-  }
-  if (plane == nullptr) return;
-  auto row = static_cast<std::size_t>(
-      std::min<double>(static_cast<double>(e.rank) / ranks_per_row_,
-                       static_cast<double>(rows_ - 1)));
-  double start = e.start;
-  double end = std::max(e.end(), start + 1e-12);
-  auto first = static_cast<std::size_t>(
-      std::clamp(start / dt_, 0.0, static_cast<double>(cols_ - 1)));
-  auto last = static_cast<std::size_t>(
-      std::clamp(end / dt_, 0.0, static_cast<double>(cols_ - 1)));
-  for (std::size_t c = first; c <= last; ++c) {
-    double lo = dt_ * static_cast<double>(c);
-    double hi = lo + dt_;
-    double overlap = std::min(end, hi) - std::max(start, lo);
-    if (overlap > 0.0) {
-      cell(*plane, row, c) += overlap / (dt_ * ranks_per_row_);
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    std::vector<double>* plane = nullptr;
+    switch (static_cast<OpType>(b.op[i])) {
+      case OpType::kWrite: plane = &write_; break;
+      case OpType::kRead: plane = &read_; break;
+      case OpType::kOpen:
+      case OpType::kClose:
+      case OpType::kSeek:
+      case OpType::kFsync:
+      case OpType::kFault: plane = &meta_; break;
+    }
+    if (plane == nullptr) continue;
+    auto row = static_cast<std::size_t>(
+        std::min<double>(static_cast<double>(b.rank[i]) / ranks_per_row_,
+                         static_cast<double>(rows_ - 1)));
+    double start = b.start[i];
+    double end = std::max(start + b.duration[i], start + 1e-12);
+    auto first = static_cast<std::size_t>(
+        std::clamp(start / dt_, 0.0, static_cast<double>(cols_ - 1)));
+    auto last = static_cast<std::size_t>(
+        std::clamp(end / dt_, 0.0, static_cast<double>(cols_ - 1)));
+    for (std::size_t c = first; c <= last; ++c) {
+      double lo = dt_ * static_cast<double>(c);
+      double hi = lo + dt_;
+      double overlap = std::min(end, hi) - std::max(start, lo);
+      if (overlap > 0.0) {
+        cell(*plane, row, c) += overlap / (dt_ * ranks_per_row_);
+      }
     }
   }
 }

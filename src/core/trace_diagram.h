@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "ipm/columns.h"
 #include "ipm/trace.h"
 #include "ipm/trace_source.h"
 
@@ -25,19 +26,13 @@ class TraceDiagram {
     std::size_t columns = 100;   ///< time bins
   };
 
-  /// Streaming form: fix the geometry (rank mapping and time axis) up
-  /// front, then fold events with add() in any order. Memory is
-  /// O(rows * columns), independent of the event count.
-  TraceDiagram(std::uint32_t ranks, double span, Options options);
-
-  /// Build from a trace (uses trace.ranks() for the row mapping).
-  TraceDiagram(const ipm::Trace& trace, Options options);
-
-  /// Build from a source (one pass for the span, one to rasterize).
+  /// Build from a source: the geometry from meta().ranks and
+  /// time_span(), then one pass folds the events in stored order.
+  /// Memory is O(rows * columns), independent of the event count.
   TraceDiagram(const ipm::TraceSource& source, Options options);
 
-  /// Fold one event into the raster.
-  void add(const ipm::TraceEvent& event);
+  /// Build from a trace (the source form over a MemoryTraceSource).
+  TraceDiagram(const ipm::Trace& trace, Options options);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t columns() const noexcept { return cols_; }
@@ -58,6 +53,8 @@ class TraceDiagram {
   [[nodiscard]] std::string render_text() const;
 
  private:
+  void add_batch(const ipm::ColumnBatch& batch);
+
   [[nodiscard]] double& cell(std::vector<double>& plane, std::size_t row,
                              std::size_t col) {
     return plane[row * cols_ + col];

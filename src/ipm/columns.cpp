@@ -1,7 +1,5 @@
 #include "ipm/columns.h"
 
-#include "common/check.h"
-
 namespace eio::ipm {
 
 ColumnBatch shred(std::span<const TraceEvent> events, ColumnScratch& scratch,
@@ -54,18 +52,6 @@ ColumnBatch shred(std::span<const TraceEvent> events, ColumnScratch& scratch,
     batch.phase = scratch.phase;
   }
   return batch;
-}
-
-void unshred(const ColumnBatch& batch, std::vector<TraceEvent>& events) {
-  const std::size_t n = batch.events;
-  EIO_CHECK_MSG(batch.start.size() == n && batch.duration.size() == n &&
-                    batch.op.size() == n && batch.rank.size() == n &&
-                    batch.file.size() == n && batch.offset.size() == n &&
-                    batch.bytes.size() == n && batch.phase.size() == n,
-                "unshred needs every column decoded (kColAll)");
-  events.clear();
-  events.resize(n);
-  for (std::size_t i = 0; i < n; ++i) events[i] = batch.event_at(i);
 }
 
 }  // namespace eio::ipm

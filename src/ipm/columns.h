@@ -6,10 +6,9 @@
 // ColumnBatch touch only the columns they need (a filter over op +
 // bytes + duration reads three dense arrays instead of striding
 // through 64-byte TraceEvent structs), and the decoder can skip
-// columns a scan never reads via a ColumnMask. shred()/unshred()
-// convert between the row and columnar views so every source can serve
-// both APIs: TSV and in-memory rows shred into columns for the columnar
-// kernels, v3 chunks unshred into rows for the per-event visitors.
+// columns a scan never reads via a ColumnMask. shred() transposes rows
+// into columns, so TSV and in-memory traces serve the same batches as
+// v3 chunks; event_at() reads one row back out.
 //
 // Determinism contract: column order is event order. A kernel that
 // walks a ColumnBatch index 0..events-1 performs the identical
@@ -93,9 +92,5 @@ using ColumnBatchVisitor = std::function<void(const ColumnBatch&)>;
 [[nodiscard]] ColumnBatch shred(std::span<const TraceEvent> events,
                                 ColumnScratch& scratch,
                                 ColumnMask mask = kColAll);
-
-/// Transpose columns back into rows (requires every column decoded).
-/// `events` is cleared first and reuses its capacity.
-void unshred(const ColumnBatch& batch, std::vector<TraceEvent>& events);
 
 }  // namespace eio::ipm

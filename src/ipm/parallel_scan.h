@@ -109,14 +109,6 @@ class ParallelTraceScanner {
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
   [[nodiscard]] const TraceIndex& index() const noexcept { return index_; }
 
-  /// Wall-clock span of the whole trace (max chunk end time) — free
-  /// from the index, no event pass.
-  [[nodiscard]] double time_span() const noexcept {
-    double span = 0.0;
-    for (const ChunkMeta& c : index_.chunks) span = std::max(span, c.t_hi);
-    return span;
-  }
-
   /// Map-reduce over the chunks `hint` admits (all chunks when null):
   ///
   ///   make(chunk_index)       -> Partial   (fresh, possibly seeded)

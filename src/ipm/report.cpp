@@ -27,48 +27,39 @@ Imbalance imbalance_of(const std::vector<double>& per_rank) {
 
 }  // namespace
 
-JobReportAccumulator::JobReportAccumulator(std::string experiment,
-                                           std::uint32_t ranks) {
-  report_.experiment = std::move(experiment);
-  report_.ranks = std::max<std::uint32_t>(ranks, 1);
-  time_per_rank_.assign(report_.ranks, 0.0);
-  bytes_per_rank_.assign(report_.ranks, 0.0);
-}
-
-void JobReportAccumulator::add(const TraceEvent& e) {
-  report_.wall_time = std::max(report_.wall_time, e.end());
-  CallStats& s = report_.by_op[e.op];
-  ++s.count;
-  s.bytes += e.bytes;
-  s.total_time += e.duration;
-  s.max_time = std::max(s.max_time, e.duration);
-  report_.total_io_time += e.duration;
-  if (e.rank < report_.ranks) {
-    time_per_rank_[e.rank] += e.duration;
-    bytes_per_rank_[e.rank] += static_cast<double>(e.bytes);
-  }
-}
-
-JobReport JobReportAccumulator::report() const {
-  JobReport report = report_;
-  report.io_time_per_rank = imbalance_of(time_per_rank_);
-  report.bytes_per_rank = imbalance_of(bytes_per_rank_);
+JobReport summarize(const TraceSource& source) {
+  JobReport report;
+  report.experiment = source.meta().experiment;
+  report.ranks = std::max<std::uint32_t>(source.meta().ranks, 1);
+  report.wall_time = source.time_span();
+  std::vector<double> time_per_rank(report.ranks, 0.0);
+  std::vector<double> bytes_per_rank(report.ranks, 0.0);
+  const ColumnMask columns = kColDuration | kColOp | kColRank | kColBytes;
+  source.for_each_columns(columns, [&](const ColumnBatch& b) {
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      const double duration = b.duration[i];
+      CallStats& s = report.by_op[static_cast<posix::OpType>(b.op[i])];
+      ++s.count;
+      s.bytes += b.bytes[i];
+      s.total_time += duration;
+      s.max_time = std::max(s.max_time, duration);
+      report.total_io_time += duration;
+      if (b.rank[i] < report.ranks) {
+        time_per_rank[b.rank[i]] += duration;
+        bytes_per_rank[b.rank[i]] += static_cast<double>(b.bytes[i]);
+      }
+    }
+  });
+  report.io_time_per_rank = imbalance_of(time_per_rank);
+  report.bytes_per_rank = imbalance_of(bytes_per_rank);
   report.busiest_rank = static_cast<RankId>(
-      std::max_element(time_per_rank_.begin(), time_per_rank_.end()) -
-      time_per_rank_.begin());
+      std::max_element(time_per_rank.begin(), time_per_rank.end()) -
+      time_per_rank.begin());
   return report;
 }
 
 JobReport summarize(const Trace& trace) {
-  JobReportAccumulator acc(trace.experiment(), trace.ranks());
-  for (const TraceEvent& e : trace.events()) acc.add(e);
-  return acc.report();
-}
-
-JobReport summarize(const TraceSource& source) {
-  JobReportAccumulator acc(source.meta().experiment, source.meta().ranks);
-  source.for_each([&acc](const TraceEvent& e) { acc.add(e); });
-  return acc.report();
+  return summarize(MemoryTraceSource(trace));
 }
 
 void print_report(std::ostream& out, const JobReport& report) {
@@ -105,16 +96,14 @@ void print_report(std::ostream& out, const JobReport& report) {
   out << "###############################################################\n";
 }
 
-std::string report_text(const Trace& trace) {
-  std::ostringstream os;
-  print_report(os, summarize(trace));
-  return os.str();
-}
-
 std::string report_text(const TraceSource& source) {
   std::ostringstream os;
   print_report(os, summarize(source));
   return os.str();
+}
+
+std::string report_text(const Trace& trace) {
+  return report_text(MemoryTraceSource(trace));
 }
 
 }  // namespace eio::ipm

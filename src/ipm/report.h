@@ -2,9 +2,8 @@
 //
 // Real IPM prints a job banner at MPI_Finalize: wall time, per-call
 // counts/bytes/time, and the load-imbalance min/mean/max across ranks.
-// This module renders the same summary from a Trace (or incrementally
-// from per-rank statistics), giving the "profiling" counterpart of the
-// event-level trace.
+// This module renders the same summary from one pass over a trace,
+// giving the "profiling" counterpart of the event-level trace.
 #pragma once
 
 #include <cstdint>
@@ -65,30 +64,12 @@ struct JobReport {
   }
 };
 
-/// One-pass report builder: folds each event into the per-op and
-/// per-rank aggregates. Memory is O(ranks + op types),
-/// independent of the event count — this is the kernel both summarize
-/// overloads wrap, so streaming and materialized reports are
-/// identical by construction.
-class JobReportAccumulator {
- public:
-  JobReportAccumulator(std::string experiment, std::uint32_t ranks);
-
-  void add(const TraceEvent& event);
-
-  /// The summary of everything seen so far.
-  [[nodiscard]] JobReport report() const;
-
- private:
-  JobReport report_;
-  std::vector<double> time_per_rank_;
-  std::vector<double> bytes_per_rank_;
-};
-
-/// Compute the summary from a materialized trace.
-[[nodiscard]] JobReport summarize(const Trace& trace);
-/// Compute the summary in one streaming pass (O(ranks) memory).
+/// Compute the summary in one streaming pass that folds each event, in
+/// stored order, into per-op and per-rank aggregates: O(ranks + op
+/// types) memory, independent of the event count.
 [[nodiscard]] JobReport summarize(const TraceSource& source);
+/// The same pass over an in-memory trace.
+[[nodiscard]] JobReport summarize(const Trace& trace);
 
 /// Render the classic banner.
 void print_report(std::ostream& out, const JobReport& report);

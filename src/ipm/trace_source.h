@@ -3,22 +3,20 @@
 // Every consumer of a trace — eiotrace subcommands, the reporters, the
 // streaming accumulators in core — pulls events through this interface
 // instead of demanding a materialized std::vector<TraceEvent>. A
-// MemoryTraceSource adapts an in-memory Trace (so the batch paths stay
-// available and the streaming kernels can be validated against them);
-// a FileTraceSource replays a trace file on every pass, keeping memory
-// O(1) in the event count. For indexed (v3) files, a ChunkHint lets the
-// source skip whole chunks whose footer metadata cannot match, turning
-// filtered scans into selective reads.
+// MemoryTraceSource adapts an in-memory Trace (so the Trace overloads
+// run the same folds); a FileTraceSource replays a trace file on every
+// pass, keeping memory O(1) in the event count. For indexed (v3)
+// files, a ChunkHint lets the source skip whole chunks whose footer
+// metadata cannot match, turning filtered scans into selective reads.
 //
-// Two dispatch granularities are offered: for_each (one visitor call
-// per event) and for_each_columns (one ColumnBatch per run of
-// consecutive events, restricted to a ColumnMask). The columnar form is
-// the hot path: the per-event std::function indirection disappears from
-// the decode→accumulate loop, and on v3 files unneeded columns are never
-// decoded — the needed ones decode straight from the mapped file
-// through the one v3 chunk decoder (ChunkReader, trace_v3.h). Every
-// other source shreds its rows, so columnar consumers see the
-// identical value sequence from any backing format.
+// There is one way to read events: for_each_columns(_hinted), one
+// ColumnBatch per run of consecutive events, restricted to a
+// ColumnMask. On v3 files unneeded columns are never decoded — the
+// needed ones decode straight from the mapped file through the one v3
+// chunk decoder (ChunkReader, trace_v3.h). TSV files and in-memory
+// traces shred their rows, so consumers see the identical value
+// sequence from any backing format; one that needs a row reads it with
+// ColumnBatch::event_at.
 #pragma once
 
 #include <algorithm>
@@ -103,54 +101,35 @@ class TraceSource {
  public:
   virtual ~TraceSource() = default;
 
-  /// Events shredded per columnar batch when a backing format has no
-  /// natural chunking: the v3 writer's default chunk size.
-  static constexpr std::size_t kDefaultBatchEvents =
-      TraceWriterV3::Options{}.chunk_events;
-
   /// Job-level metadata (experiment name, rank count, event count when
   /// the backing format declares it).
   [[nodiscard]] virtual const TraceMeta& meta() const = 0;
 
-  /// Visit every event in stored order. May be called repeatedly; each
-  /// call replays the full stream.
-  virtual void for_each(const EventVisitor& visit) const = 0;
-
-  /// Visit events from chunks a hint admits. Default: full scan (exact
-  /// for any source, since hints only promise a superset).
-  virtual void for_each_hinted(const ChunkHint& hint,
-                               const EventVisitor& visit) const {
-    (void)hint;
-    for_each(visit);
-  }
-
   /// Visit every event as columnar batches with (at least) the masked
-  /// columns materialized. Column order is event order, so folding a
-  /// ColumnBatch index 0..n-1 is value-identical to folding the same
-  /// run of rows.
+  /// columns materialized, in stored order. May be called repeatedly;
+  /// each call replays the full stream. Column order is event order,
+  /// so folding a ColumnBatch index 0..n-1 is value-identical to
+  /// folding the same run of rows.
   void for_each_columns(ColumnMask mask,
                         const ColumnBatchVisitor& visit) const {
     for_each_columns_hinted(ChunkHint{}, mask, visit);
   }
 
-  /// Columnar form of for_each_hinted (same superset contract).
-  /// Default: shred kDefaultBatchEvents rows at a time off
-  /// for_each_hinted; columnar-native sources decode only what the mask
-  /// asks for.
-  virtual void for_each_columns_hinted(const ChunkHint& hint, ColumnMask mask,
-                                       const ColumnBatchVisitor& visit) const;
+  /// Visit the batches of chunks a hint admits. Hints only promise a
+  /// superset: visitors still see non-matching events inside surviving
+  /// chunks (and every event of a source without an index) and must
+  /// filter exactly.
+  virtual void for_each_columns_hinted(
+      const ChunkHint& hint, ColumnMask mask,
+      const ColumnBatchVisitor& visit) const = 0;
 
   /// Wall-clock span covered by the stream (latest event end time; 0
-  /// when empty) — the batch Trace::span() semantics. Default: one
-  /// pass; indexed sources answer from chunk metadata.
-  [[nodiscard]] virtual double time_span() const;
+  /// when empty) — the batch Trace::span() semantics, answered without
+  /// an event pass.
+  [[nodiscard]] virtual double time_span() const = 0;
 
-  /// Total events (one pass when the format does not declare it).
-  [[nodiscard]] virtual std::uint64_t event_count() const;
-
-  /// Copy the stream into an in-memory Trace — the escape hatch for
-  /// analyses that genuinely need random access (O(events) memory).
-  [[nodiscard]] virtual Trace materialize() const;
+  /// Total events.
+  [[nodiscard]] virtual std::uint64_t event_count() const = 0;
 };
 
 /// Non-owning view over an in-memory Trace.
@@ -159,26 +138,26 @@ class MemoryTraceSource final : public TraceSource {
   explicit MemoryTraceSource(const Trace& trace);
 
   [[nodiscard]] const TraceMeta& meta() const override { return meta_; }
-  void for_each(const EventVisitor& visit) const override;
   /// One shred of the whole contiguous trace — a single batch (the
   /// hint is ignored: a full scan is a valid superset).
   void for_each_columns_hinted(const ChunkHint& hint, ColumnMask mask,
                                const ColumnBatchVisitor& visit) const override;
-  [[nodiscard]] double time_span() const override;
-  [[nodiscard]] std::uint64_t event_count() const override;
-  [[nodiscard]] Trace materialize() const override;
+  [[nodiscard]] double time_span() const override { return trace_->span(); }
+  [[nodiscard]] std::uint64_t event_count() const override {
+    return trace_->size();
+  }
 
  private:
   const Trace* trace_;
   TraceMeta meta_;
-  mutable ColumnScratch scratch_;  ///< shred target for columnar passes
 };
 
 /// Streams a trace file (TSV or binary v3) from disk on every pass.
 /// Holds only the header metadata — plus, for v3, the footer index,
 /// which the hinted passes use to skip chunks. The file is opened (and
-/// its format sniffed) exactly once. A TSV pass rewinds the same
-/// stream; a v3 file is mapped once (MappedFile) and every pass decodes
+/// its format sniffed) exactly once. A TSV pass rewinds the same stream
+/// and shreds 4,096 rows per batch (the chunks a default v3 writer
+/// cuts); a v3 file is mapped once (MappedFile) and every pass decodes
 /// its chunks from that image through one ChunkReader. Passes mutate
 /// the cached stream and scratch buffers, so one FileTraceSource must
 /// not run concurrent passes — ParallelTraceScanner decodes through
@@ -191,13 +170,14 @@ class FileTraceSource final : public TraceSource {
   explicit FileTraceSource(std::string path);
 
   [[nodiscard]] const TraceMeta& meta() const override { return meta_; }
-  void for_each(const EventVisitor& visit) const override;
-  void for_each_hinted(const ChunkHint& hint,
-                       const EventVisitor& visit) const override;
   void for_each_columns_hinted(const ChunkHint& hint, ColumnMask mask,
                                const ColumnBatchVisitor& visit) const override;
-  [[nodiscard]] double time_span() const override;
-  [[nodiscard]] std::uint64_t event_count() const override;
+  [[nodiscard]] double time_span() const override { return span_; }
+  /// Both formats declare their count (TSV in its header, v3 in its
+  /// footer), and the constructor's pass validated it.
+  [[nodiscard]] std::uint64_t event_count() const override {
+    return meta_.declared_events.value_or(0);
+  }
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
   [[nodiscard]] TraceFormat format() const noexcept { return format_; }
@@ -207,9 +187,6 @@ class FileTraceSource final : public TraceSource {
   }
 
  private:
-  /// Rewind the cached stream for a fresh TSV pass.
-  [[nodiscard]] std::istream& reset_stream() const;
-
   std::string path_;
   TraceFormat format_;
   TraceMeta meta_;
@@ -217,8 +194,9 @@ class FileTraceSource final : public TraceSource {
   mutable std::ifstream stream_;
   /// v3: the mapped file and its chunk decoder (owns the column scratch).
   mutable std::optional<ChunkReader> reader_;
-  /// Row scratch for per-event passes over v3, reused across chunks.
-  mutable std::vector<TraceEvent> batch_;
+  /// The latest event end: v3 reads it off the index, TSV folds it in
+  /// the constructor's validation pass.
+  double span_ = 0.0;
 };
 
 }  // namespace eio::ipm

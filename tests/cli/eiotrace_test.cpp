@@ -16,6 +16,7 @@
 #include "common/json.h"
 #include "common/rng.h"
 #include "common/units.h"
+#include "golden.h"
 #include "ipm/trace.h"
 #include "ipm/trace_source.h"
 #include "ipm/trace_stream.h"
@@ -74,10 +75,10 @@ class EiotraceTest : public ::testing::Test {
 
   void TearDown() override { std::remove(path_.c_str()); }
 
-  /// The fixture trace as an indexed v3 file with small chunks, so even
-  /// this little trace gives the chunk counters something to count.
-  static std::string write_chunked() {
-    const ipm::Trace t = fixture_trace();
+  /// A trace (the fixture by default) as an indexed v3 file with small
+  /// chunks, so even this little trace gives the chunk counters
+  /// something to count and its streams straddle chunks.
+  static std::string write_chunked(const ipm::Trace& t = fixture_trace()) {
     std::string path = testutil::temp_path(".v3");
     std::ofstream out(path, std::ios::binary);
     ipm::TraceWriterV3 w(out, t.experiment(), t.ranks(), {.chunk_events = 16});
@@ -273,6 +274,26 @@ TEST_F(EiotraceTest, PatternsDetectsStridedReads) {
   EXPECT_EQ(rc, 0);
   EXPECT_NE(out.find("strided"), std::string::npos);
   EXPECT_NE(out.find("hint"), std::string::npos);
+}
+
+TEST_F(EiotraceTest, RowOrderCommandsMatchGoldenInBothFormats) {
+  // report, diagram, patterns and compare print the same bytes from the
+  // TSV fixture and from a v3 copy of it cut into 16-event chunks.
+  const std::string v3 = write_chunked(ipm::Trace::load(path_));
+  for (const std::string& trace : {path_, v3}) {
+    const std::vector<std::pair<std::string, std::vector<std::string>>> cases =
+        {{"report.txt", {"report", trace}},
+         {"diagram.txt", {"diagram", trace, "--rows=8", "--cols=40"}},
+         {"patterns.txt", {"patterns", trace}},
+         {"compare.txt", {"compare", trace, trace}}};
+    for (const auto& [golden, cmd] : cases) {
+      auto [rc, out, err] = run(cmd);
+      ASSERT_EQ(rc, 0) << cmd[0] << " " << trace << ": " << err;
+      SCOPED_TRACE(trace);
+      testutil::expect_golden(golden, out);
+    }
+  }
+  std::remove(v3.c_str());
 }
 
 TEST_F(EiotraceTest, PhasesTableListsPhases) {
@@ -728,6 +749,10 @@ TEST_F(EiotraceTest, EveryAnalysisSubcommandScansTheTraceExactlyOnce) {
       {"analyze", v3, "--obs"},
       {"analyze", v3, "--jobs=4", "--obs"},
       {"diagnose", v3, "--ost-count=8", "--obs"},
+      {"patterns", v3, "--obs"},
+      {"patterns", v3, "--jobs=2", "--obs"},
+      {"report", v3, "--obs"},
+      {"diagram", v3, "--obs"},
   };
   for (const auto& cmd : commands) {
     auto [rc, out, err] = run(cmd);
@@ -745,14 +770,30 @@ TEST_F(EiotraceTest, EveryAnalysisSubcommandScansTheTraceExactlyOnce) {
   std::remove(v3.c_str());
 
   // A TSV file has no chunks to count: tally its full parses instead.
-  // (rates and analyze read the span first by design.)
-  auto [rc, out, err] = run({"diagnose", path_, "--ost-count=8", "--obs"});
-  ASSERT_EQ(rc, 0) << err;
-  std::uint64_t passes = 0;
-  for (const obs::CounterValue& c : obs::Registry::instance().snapshot().counters) {
-    if (c.name == "scan.tsv_passes") passes = c.value;
+  // The open's validation pass is not one of them (it also folds the
+  // span, so rates and analyze need no pre-pass).
+  for (const std::string command :
+       {"report", "summary", "histogram", "modes", "rates", "diagram", "phases",
+        "analyze", "monitor", "diagnose", "patterns"}) {
+    auto [rc, out, err] = run({command, path_, "--obs"});
+    ASSERT_EQ(rc, 0) << command << ": " << err;
+    std::uint64_t passes = 0;
+    for (const obs::CounterValue& c :
+         obs::Registry::instance().snapshot().counters) {
+      if (c.name == "scan.tsv_passes") passes = c.value;
+    }
+    EXPECT_EQ(passes, 1u) << command << " on TSV";
   }
-  EXPECT_EQ(passes, 1u) << "diagnose on TSV";
+}
+
+TEST_F(EiotraceTest, PatternsIsByteIdenticalAcrossJobs) {
+  const std::string v3 = write_chunked(ipm::Trace::load(path_));
+  auto [rc1, j1, err1] = run({"patterns", v3, "--jobs=1"});
+  auto [rc4, j4, err4] = run({"patterns", v3, "--jobs=4"});
+  ASSERT_EQ(rc1, 0) << err1;
+  ASSERT_EQ(rc4, 0) << err4;
+  EXPECT_EQ(j1, j4);
+  std::remove(v3.c_str());
 }
 
 TEST_F(EiotraceTest, DiagnoseCountsAnyThirtyTwoBitRank) {

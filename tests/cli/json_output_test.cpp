@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -18,6 +17,7 @@
 #include "common/json.h"
 #include "common/rng.h"
 #include "common/units.h"
+#include "golden.h"
 #include "ipm/trace.h"
 #include "temp_path.h"
 
@@ -25,6 +25,7 @@ namespace eio::cli {
 namespace {
 
 using posix::OpType;
+using testutil::expect_golden;
 
 class JsonOutputTest : public ::testing::Test {
  protected:
@@ -73,26 +74,6 @@ class JsonOutputTest : public ::testing::Test {
     std::ostringstream out, err;
     int rc = run_eiotrace(args, out, err);
     return {rc, out.str(), err.str()};
-  }
-
-  static std::string golden_path(const std::string& name) {
-    return std::string(EIO_SOURCE_DIR "/tests/cli/golden/") + name;
-  }
-
-  /// Compare against the golden file; EIO_UPDATE_GOLDEN=1 regenerates.
-  static void expect_golden(const std::string& name,
-                            const std::string& actual) {
-    const std::string path = golden_path(name);
-    if (std::getenv("EIO_UPDATE_GOLDEN") != nullptr) {
-      std::ofstream(path, std::ios::binary) << actual;
-      return;
-    }
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in.good()) << "missing golden " << path
-                           << " (run with EIO_UPDATE_GOLDEN=1 to create)";
-    std::ostringstream want;
-    want << in.rdbuf();
-    EXPECT_EQ(actual, want.str()) << "golden mismatch: " << name;
   }
 
   std::string path_;

@@ -26,6 +26,7 @@
 #include "ipm/report.h"
 #include "ipm/trace_source.h"
 #include "temp_path.h"
+#include "trace_rows.h"
 #include "workloads/gcrm.h"
 #include "workloads/ior.h"
 #include "workloads/madbench.h"
@@ -136,15 +137,16 @@ TEST(StreamingEquivalenceTest, HistogramBinsMatchFromSamples) {
       MemoryTraceSource source(t);
       double lo = 0.0, hi = 0.0;
       std::size_t n = 0;
-      for_each_matching(source, write_filter, [&](const ipm::TraceEvent& e) {
+      testutil::for_each_event(source, [&](const ipm::TraceEvent& e) {
+        if (!write_filter.matches(e)) return;
         lo = n == 0 ? e.duration : std::min(lo, e.duration);
         hi = n == 0 ? e.duration : std::max(hi, e.duration);
         ++n;
       });
       stats::Histogram::Range range = stats::Histogram::padded_range(lo, hi, scale);
       stats::Histogram streamed(scale, range.lo, range.hi, 40);
-      for_each_matching(source, write_filter, [&](const ipm::TraceEvent& e) {
-        streamed.add(e.duration);
+      testutil::for_each_event(source, [&](const ipm::TraceEvent& e) {
+        if (write_filter.matches(e)) streamed.add(e.duration);
       });
 
       EXPECT_DOUBLE_EQ(streamed.lo(), batch.lo()) << t.experiment();
@@ -225,19 +227,28 @@ TEST(StreamingEquivalenceTest, RateSeriesMatchesBatchAggregate) {
   }
 }
 
+// The Trace overloads fold one whole-trace batch; a v3 file of the
+// same trace folds chunk by chunk, and must print the same bytes.
+
 TEST(StreamingEquivalenceTest, ReportsMatchBatchSummarize) {
   for (const ipm::Trace& t : seed_traces()) {
-    EXPECT_EQ(ipm::report_text(MemoryTraceSource(t)), ipm::report_text(t))
+    const std::string path = testutil::temp_path("_" + t.experiment() + ".v3");
+    t.save_binary_v3(path);
+    EXPECT_EQ(ipm::report_text(ipm::FileTraceSource(path)), ipm::report_text(t))
         << t.experiment();
+    std::remove(path.c_str());
   }
 }
 
 TEST(StreamingEquivalenceTest, TraceDiagramMatchesBatchRaster) {
   for (const ipm::Trace& t : seed_traces()) {
+    const std::string path = testutil::temp_path("_" + t.experiment() + ".v3");
+    t.save_binary_v3(path);
     TraceDiagram::Options opt{.max_rows = 16, .columns = 48};
     TraceDiagram batch(t, opt);
-    TraceDiagram streamed(MemoryTraceSource(t), opt);
+    TraceDiagram streamed(ipm::FileTraceSource(path), opt);
     EXPECT_EQ(streamed.render_text(), batch.render_text()) << t.experiment();
+    std::remove(path.c_str());
   }
 }
 
@@ -491,8 +502,9 @@ TEST(MergeKernelsTest, RateSeriesMergeMatchesSingleBuilder) {
     RateSeriesBuilder right(span, 64);
     const auto& events = t.events();
     for (std::size_t i = 0; i < events.size(); ++i) {
-      whole.add(events[i]);
-      (i < events.size() / 2 ? left : right).add(events[i]);
+      const ipm::TraceEvent& e = events[i];
+      whole.add(e.start, e.duration, e.bytes);
+      (i < events.size() / 2 ? left : right).add(e.start, e.duration, e.bytes);
     }
     left.merge(right);
     const TimeSeries& a = whole.series();

@@ -173,9 +173,10 @@ class RecordingSink final : public EventSink {
  public:
   void add_batch(const ColumnBatch& batch) override {
     sizes.push_back(batch.size());
-    std::vector<TraceEvent> part;
-    unshred(batch, part);
-    rows.insert(rows.end(), part.begin(), part.end());
+    EXPECT_EQ(batch.phase.size(), batch.size()) << "every column decoded";
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      rows.push_back(batch.event_at(i));
+    }
   }
 
   std::vector<std::size_t> sizes;

@@ -30,6 +30,7 @@
 #include "ipm/trace_source.h"
 #include "ipm/trace_stream.h"
 #include "temp_path.h"
+#include "trace_rows.h"
 #include "workloads/gcrm.h"
 #include "workloads/ior.h"
 #include "workloads/madbench.h"
@@ -116,7 +117,7 @@ ipm::Trace monotonic_trace(std::size_t events) {
 stats::StreamingSummary serial_summary(const ipm::TraceSource& source,
                                        const EventFilter& filter) {
   SummarySink sink(filter);
-  const ipm::Trace t = source.materialize();
+  const ipm::Trace t = testutil::collect(source);
   ipm::ColumnScratch scratch;
   sink.add_batch(ipm::shred(t.events(), scratch));
   return sink.summary();
@@ -165,7 +166,7 @@ std::optional<stats::Histogram> scanned_histogram(
 
 TimeSeries scanned_rate(const ipm::ParallelTraceScanner& scanner,
                         const EventFilter& filter, std::size_t bins) {
-  const double span = scanner.time_span();
+  const double span = ipm::FileTraceSource(scanner.path()).time_span();
   const ipm::ChunkHint hint = hint_for(filter);
   return scanner
       .scan_kernels(
@@ -357,7 +358,7 @@ TEST(ParallelScanTest, HintedScanMatchesSerialFilteredStream) {
   filters.push_back({.op = posix::OpType::kRead});
   const auto& phases = scanner.index().chunks;
   filters.push_back({.phase = phases[phases.size() / 2].phase_lo});
-  const double span = scanner.time_span();
+  const double span = ipm::FileTraceSource(scanner.path()).time_span();
   filters.push_back({.t_lo = 0.25 * span, .t_hi = 0.5 * span});
   filters.push_back({.op = posix::OpType::kWrite, .t_hi = 0.75 * span});
 
@@ -378,7 +379,7 @@ TEST(ParallelScanTest, TimeWindowHintSkipsChunksWithoutChangingResults) {
   const std::string path = write_chunked(t, 128, "window");
   ipm::FileTraceSource source(path);
   ipm::ParallelTraceScanner scanner(path, {.jobs = 4});
-  const double span = scanner.time_span();
+  const double span = ipm::FileTraceSource(scanner.path()).time_span();
 
   // Monotonic starts make chunk time ranges disjoint, so a quarter-span
   // window must prove most chunks unmatchable.
@@ -485,8 +486,8 @@ TEST(ParallelScanTest, BatchDispatchConcatenatesToEventOrder) {
   ipm::FileTraceSource source(path);
 
   std::vector<double> per_event;
-  source.for_each(
-      [&](const ipm::TraceEvent& e) { per_event.push_back(e.start); });
+  testutil::for_each_event(
+      source, [&](const ipm::TraceEvent& e) { per_event.push_back(e.start); });
 
   std::vector<double> batched;
   std::size_t batches = 0;
@@ -497,14 +498,14 @@ TEST(ParallelScanTest, BatchDispatchConcatenatesToEventOrder) {
   EXPECT_EQ(batched, per_event);
   EXPECT_GT(batches, 1u);  // one batch per v3 chunk
 
-  // A TSV file shreds its rows into the same sequence its per-event
-  // pass yields.
+  // A TSV file shreds its rows into the same sequence its row view
+  // yields.
   const std::string tsv = testutil::temp_path(".tsv");
   t.save(tsv);
   ipm::FileTraceSource tsv_source(tsv);
   std::vector<double> tsv_rows, shredded;
-  tsv_source.for_each(
-      [&](const ipm::TraceEvent& e) { tsv_rows.push_back(e.start); });
+  testutil::for_each_event(
+      tsv_source, [&](const ipm::TraceEvent& e) { tsv_rows.push_back(e.start); });
   tsv_source.for_each_columns(ipm::kColStart, [&](const ipm::ColumnBatch& b) {
     shredded.insert(shredded.end(), b.start.begin(), b.start.end());
   });
@@ -541,7 +542,7 @@ TEST(ParallelScanTest, ScanColumnsAgreesWithRowScan) {
   Acc rows;
   std::vector<Acc> per_chunk(scanner.index().chunks.size());
   std::size_t at = 0;
-  source.for_each([&](const ipm::TraceEvent& e) {
+  testutil::for_each_event(source, [&](const ipm::TraceEvent& e) {
     Acc& a = per_chunk[at++ / kChunkEvents];
     a.sum += e.start;
     ++a.n;
@@ -612,7 +613,7 @@ TEST(ParallelScanTest, FusedKernelSetMatchesIndividualScans) {
     ipm::ParallelTraceScanner scanner(path, {.jobs = 4});
     const EventFilter writes{.op = posix::OpType::kWrite};
     const EventFilter reads{.op = posix::OpType::kRead};
-    const double span = scanner.time_span();
+    const double span = ipm::FileTraceSource(scanner.path()).time_span();
 
     const stats::StreamingSummary sw = scanned_summary(scanner, writes);
     const stats::StreamingSummary sr = scanned_summary(scanner, reads);
@@ -665,7 +666,7 @@ TEST(ParallelScanTest, FusedKernelSetIsJobsInvariant) {
 
   auto run = [&](ipm::ScanOptions opt) {
     ipm::ParallelTraceScanner scanner(path, opt);
-    const double span = scanner.time_span();
+    const double span = ipm::FileTraceSource(scanner.path()).time_span();
     const ipm::ChunkHint hint = hint_for(writes);
     return scanner.scan_kernels(
         [&](std::size_t chunk) {

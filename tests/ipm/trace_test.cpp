@@ -14,6 +14,7 @@
 #include "ipm/trace_source.h"
 #include "ipm/trace_stream.h"
 #include "temp_path.h"
+#include "trace_rows.h"
 
 namespace eio::ipm {
 namespace {
@@ -259,10 +260,8 @@ TEST(TraceTest, FileTraceSourceReportsMetaForAllFormats) {
     EXPECT_EQ(source.meta().experiment, "sample") << path;
     EXPECT_EQ(source.meta().ranks, 8u) << path;
     EXPECT_EQ(source.event_count(), 9u) << path;
-    std::size_t visited = 0;
-    source.for_each([&visited](const TraceEvent&) { ++visited; });
-    EXPECT_EQ(visited, 9u) << path;
-    Trace back = source.materialize();
+    EXPECT_DOUBLE_EQ(source.time_span(), t.span()) << path;
+    Trace back = testutil::collect(source);
     EXPECT_EQ(back.size(), 9u) << path;
     EXPECT_DOUBLE_EQ(back.events()[4].start, 1.0) << path;
   }

@@ -26,6 +26,7 @@
 #include "ipm/trace_stream.h"
 #include "ipm/wire.h"
 #include "temp_path.h"
+#include "trace_rows.h"
 
 namespace eio::ipm {
 namespace {
@@ -200,22 +201,20 @@ TEST(TraceV3Test, MaskedDecodeSkipsUnrequestedColumns) {
   }
 }
 
-TEST(TraceV3Test, ShredUnshredRoundTrips) {
+TEST(TraceV3Test, ShredEventAtRoundTrips) {
   Trace t = sample_trace(50);
   ColumnScratch scratch;
   ColumnBatch cols = shred(t.events(), scratch, kColAll);
   ASSERT_EQ(cols.size(), 50u);
-  std::vector<TraceEvent> rows;
-  unshred(cols, rows);
-  ASSERT_EQ(rows.size(), 50u);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(rows[i].start, t.events()[i].start);
-    EXPECT_EQ(rows[i].duration, t.events()[i].duration);
-    EXPECT_EQ(rows[i].op, t.events()[i].op);
-    EXPECT_EQ(rows[i].rank, t.events()[i].rank);
-    EXPECT_EQ(rows[i].offset, t.events()[i].offset);
-    EXPECT_EQ(rows[i].bytes, t.events()[i].bytes);
-    EXPECT_EQ(rows[i].phase, t.events()[i].phase);
+  for (std::size_t i = 0; i < cols.size(); ++i) {
+    const TraceEvent row = cols.event_at(i);
+    EXPECT_EQ(row.start, t.events()[i].start);
+    EXPECT_EQ(row.duration, t.events()[i].duration);
+    EXPECT_EQ(row.op, t.events()[i].op);
+    EXPECT_EQ(row.rank, t.events()[i].rank);
+    EXPECT_EQ(row.offset, t.events()[i].offset);
+    EXPECT_EQ(row.bytes, t.events()[i].bytes);
+    EXPECT_EQ(row.phase, t.events()[i].phase);
   }
 }
 
@@ -417,9 +416,10 @@ TEST(TraceV3Test, FileTraceSourceUsesZeroCopyForV3) {
 
   // Both formats replay the identical event sequence.
   std::vector<double> tsv_starts, v3_starts;
-  tsv_source.for_each(
-      [&](const TraceEvent& e) { tsv_starts.push_back(e.start); });
-  v3_source.for_each([&](const TraceEvent& e) { v3_starts.push_back(e.start); });
+  testutil::for_each_event(
+      tsv_source, [&](const TraceEvent& e) { tsv_starts.push_back(e.start); });
+  testutil::for_each_event(
+      v3_source, [&](const TraceEvent& e) { v3_starts.push_back(e.start); });
   EXPECT_EQ(v3_starts, tsv_starts);
   EXPECT_EQ(v3_source.event_count(), tsv_source.event_count());
   std::remove(tsv.c_str());
@@ -446,20 +446,15 @@ TEST(TraceV3Test, HintedScanSkipsNonMatchingChunks) {
   ASSERT_TRUE(source.index().has_value());
   ASSERT_EQ(source.index()->chunks.size(), 2u);
 
-  std::size_t visited = 0;
-  source.for_each_hinted(ChunkHint{.phase = 2},
-                         [&visited](const TraceEvent&) { ++visited; });
-  EXPECT_EQ(visited, 8u);
-
-  visited = 0;
-  source.for_each_hinted(ChunkHint{.op = posix::OpType::kFsync},
-                         [&visited](const TraceEvent&) { ++visited; });
-  EXPECT_EQ(visited, 0u);
-
-  visited = 0;
-  source.for_each_hinted(ChunkHint{},
-                         [&visited](const TraceEvent&) { ++visited; });
-  EXPECT_EQ(visited, 16u);
+  auto visited = [&source](const ChunkHint& hint) {
+    std::size_t n = 0;
+    source.for_each_columns_hinted(
+        hint, kColPhase, [&n](const ColumnBatch& b) { n += b.size(); });
+    return n;
+  };
+  EXPECT_EQ(visited(ChunkHint{.phase = 2}), 8u);
+  EXPECT_EQ(visited(ChunkHint{.op = posix::OpType::kFsync}), 0u);
+  EXPECT_EQ(visited(ChunkHint{}), 16u);
   std::remove(path.c_str());
 }
 
@@ -706,7 +701,7 @@ TEST(TraceV3Test, MutationSweepReadsOrThrowsRuntimeError) {
     }
     const bool file_rejects = throws("FileTraceSource", [&] {
       FileTraceSource source(path);
-      source.for_each([](const TraceEvent&) {});
+      source.for_each_columns(kColAll, [](const ColumnBatch&) {});
     });
     const bool scan_rejects = throws("ParallelTraceScanner", [&] {
       ParallelTraceScanner scanner(path, ScanOptions{.jobs = 2});
